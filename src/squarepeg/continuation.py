@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
@@ -167,6 +166,10 @@ def _match_classes(prev: SolveReport, cur: SolveReport):
     Matches above 10x the median matched drift are rejected, so a class that
     jumps implausibly far counts as one death plus one birth.
     """
+    # deferred: scipy.optimize is most of the package's import time, and
+    # only continuation needs it
+    from scipy.optimize import linear_sum_assignment
+
     a = [s.theta for s in prev.classes]
     b = [s.theta for s in cur.classes]
     if not a:

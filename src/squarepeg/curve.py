@@ -48,6 +48,8 @@ class Curve:
             raise ValueError(f"ambient dimension must be >= 2, got {k}")
         if cos_c.shape[0] != k or sin_c.shape[0] != k or cos_c.shape != sin_c.shape:
             raise ValueError("coefficient arrays must share the shape (k, H)")
+        if not all(np.isfinite(arr).all() for arr in (a0, cos_c, sin_c)):
+            raise ValueError("curve coefficients must be finite")
         for arr in (a0, cos_c, sin_c):
             arr.flags.writeable = False
         object.__setattr__(self, "a0", a0)
@@ -79,17 +81,31 @@ class Curve:
 
     def eval(self, theta) -> np.ndarray:
         """Evaluate the curve; scalar theta -> (k,), array (n,) -> (n, k)."""
-        theta = np.asarray(theta, dtype=float)
-        h = np.arange(1, self.harmonics + 1)
-        ang = np.multiply.outer(theta, h)
-        return self.a0 + np.cos(ang) @ self.cos_coeffs.T + np.sin(ang) @ self.sin_coeffs.T
+        c, s = self._harmonics(theta)
+        return self.a0 + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
 
     def deriv(self, theta) -> np.ndarray:
         """Exact derivative of the Fourier series, same shapes as ``eval``."""
-        theta = np.asarray(theta, dtype=float)
+        c, s = self._harmonics(theta)
         h = np.arange(1, self.harmonics + 1)
-        ang = np.multiply.outer(theta, h)
-        return (-np.sin(ang) * h) @ self.cos_coeffs.T + (np.cos(ang) * h) @ self.sin_coeffs.T
+        return c @ (h * self.sin_coeffs).T - s @ (h * self.cos_coeffs).T
+
+    def _harmonics(self, theta):
+        """cos(h theta) and sin(h theta) for h = 1..H, each theta.shape + (H,).
+
+        One cos and one sin per angle; higher harmonics follow by angle
+        addition, whose rounding error grows only like h * eps.  The tables
+        are filled harmonic-major, so each step writes one contiguous row.
+        """
+        theta = np.asarray(theta, dtype=float)
+        c = np.empty((self.harmonics,) + theta.shape)
+        s = np.empty_like(c)
+        c1 = c[0] = np.cos(theta)
+        s1 = s[0] = np.sin(theta)
+        for h in range(1, self.harmonics):
+            c[h] = c[h - 1] * c1 - s[h - 1] * s1
+            s[h] = s[h - 1] * c1 + c[h - 1] * s1
+        return np.moveaxis(c, 0, -1), np.moveaxis(s, 0, -1)
 
     def to_json_dict(self) -> dict:
         coords = []

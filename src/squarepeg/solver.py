@@ -34,6 +34,42 @@ ROW_FLOOR = 1e-12
 
 #: distance pairs used by the residual, 0-based
 _PAIRS = ((0, 1), (0, 3), (1, 2), (2, 3), (0, 2), (1, 3))
+_PAIR_I = np.array([i for i, _ in _PAIRS])
+_PAIR_J = np.array([j for _, j in _PAIRS])
+
+#: g = numerators / denominators, both linear in the squared pair lengths
+#: s01, s03, s12, s23, s02, s13: rows 0-3 numerators, rows 4-7 denominators
+_NUM_DEN = np.array(
+    [
+        [1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, -1],
+        [0, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0],
+    ],
+    dtype=float,
+)
+
+
+def _dots_to_dnum_den() -> np.ndarray:
+    """(12, 32) map from pair dot products to the derivatives of ``_NUM_DEN``.
+
+    d s_ij / d theta_c is 2 (p_i - p_j) . gamma'_c for c = i and minus that
+    for c = j.  A row of the 12 dot products (p_i - p_j) . gamma'_i, then
+    (p_i - p_j) . gamma'_j, times this matrix gives the derivatives of the 8
+    numerator/denominator rows in the 4 angles, laid out row-major as (8, 4).
+    """
+    dsq = np.zeros((12, 6, 4))
+    dsq[np.arange(6), np.arange(6), _PAIR_I] = 2.0
+    dsq[6 + np.arange(6), np.arange(6), _PAIR_J] = -2.0
+    return np.matmul(_NUM_DEN, dsq).reshape(12, 32)
+
+
+_DOTS_TO_DNUM_DEN = _dots_to_dnum_den()
+_PAIR_IJ = np.concatenate([_PAIR_I, _PAIR_J])
 
 _STATUS_CONVERGED = 0
 _STATUS_DIVERGED = 1
@@ -94,104 +130,67 @@ def _points_at(curve: Curve, thetas: np.ndarray) -> np.ndarray:
     return curve.eval(thetas.reshape(-1)).reshape(m, 4, curve.dim)
 
 
-def _pair_distances(points: np.ndarray) -> dict:
-    return {
-        (i, j): np.linalg.norm(points[:, i] - points[:, j], axis=1) for i, j in _PAIRS
-    }
-
-
-def _residual_batch(curve: Curve, thetas: np.ndarray):
-    """Residual, residual sup-norm, and min separation for a batch of tuples.
-
-    Rows whose configuration is numerically degenerate get +inf norm instead
-    of raising, so the damped line search can simply reject them.
-    """
-    pts = _points_at(curve, thetas)
-    d = _pair_distances(pts)
-    min_sep = np.min(np.stack([d[p] for p in _PAIRS], axis=1), axis=1)
-    ok = min_sep > MACHINE_SEP * curve.diameter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.stack(
-            [
-                d[(0, 1)] ** 2 / d[(0, 3)] ** 2,
-                d[(1, 2)] ** 2 / d[(0, 1)] ** 2,
-                d[(2, 3)] ** 2 / d[(1, 2)] ** 2,
-                (d[(0, 2)] ** 2 - d[(1, 3)] ** 2) / d[(0, 1)] ** 2,
-            ],
-            axis=1,
-        )
-    res = g - G_TARGET
-    with np.errstate(invalid="ignore"):
-        norms = np.abs(res).max(axis=1)
-    norms = np.where(ok & np.isfinite(norms), norms, np.inf)
-    return res, norms, min_sep
-
-
-def _jacobian_batch(curve: Curve, thetas: np.ndarray) -> np.ndarray:
-    """Exact derivative of the residual w.r.t. each angle, (m, 4, 4)."""
+def _tangents_at(curve: Curve, thetas: np.ndarray) -> np.ndarray:
+    """(m, 4) angles -> (m, 4, k) curve tangents."""
     m = thetas.shape[0]
-    pts = _points_at(curve, thetas)
-    tan = curve.deriv(thetas.reshape(-1)).reshape(m, 4, curve.dim)
-    d = {}
-    u = {}
-    for i, j in _PAIRS:
-        diff = pts[:, i] - pts[:, j]
-        dist = np.linalg.norm(diff, axis=1)
-        d[(i, j)] = dist
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u[(i, j)] = diff / dist[:, None]
-
-    def dlen(i, j, col):
-        if col == i:
-            return np.einsum("mk,mk->m", u[(i, j)], tan[:, col])
-        if col == j:
-            return -np.einsum("mk,mk->m", u[(i, j)], tan[:, col])
-        return np.zeros(m)
-
-    d01, d03 = d[(0, 1)], d[(0, 3)]
-    d12, d23 = d[(1, 2)], d[(2, 3)]
-    d02, d13 = d[(0, 2)], d[(1, 3)]
-    jac = np.empty((m, 4, 4))
-    for col in range(4):
-        dl01 = dlen(0, 1, col)
-        dl03 = dlen(0, 3, col)
-        dl12 = dlen(1, 2, col)
-        dl23 = dlen(2, 3, col)
-        dl02 = dlen(0, 2, col)
-        dl13 = dlen(1, 3, col)
-        jac[:, 0, col] = 2 * d01 / d03**2 * dl01 - 2 * d01**2 / d03**3 * dl03
-        jac[:, 1, col] = 2 * d12 / d01**2 * dl12 - 2 * d12**2 / d01**3 * dl01
-        jac[:, 2, col] = 2 * d23 / d12**2 * dl23 - 2 * d23**2 / d12**3 * dl12
-        jac[:, 3, col] = (
-            2 * d02 / d01**2 * dl02
-            - 2 * d13 / d01**2 * dl13
-            - 2 * (d02**2 - d13**2) / d01**3 * dl01
-        )
-    return jac
+    return curve.deriv(thetas.reshape(-1)).reshape(m, 4, curve.dim)
 
 
-def _check_separation(curve: Curve, thetas: np.ndarray) -> None:
-    pts = _points_at(curve, thetas[None, :])[0]
-    dmin = min(np.linalg.norm(pts[i] - pts[j]) for i, j in _PAIRS)
-    if dmin <= MACHINE_SEP * curve.diameter:
+def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
+    """Residual, sup-norms, min separation and (given tangents) Jacobian.
+
+    ``pts`` and ``tan`` are (m, 4, k) points and tangents of a batch of angle
+    tuples.  The six pair differences are formed once; each g_r = N_r / D_r
+    is a ratio of linear combinations of their squared lengths, and its
+    Jacobian row is (dN_r - g_r dD_r) / D_r, built from the same differences
+    and the tangents.  The work runs batch-last, (k, 6, m), so every
+    operation streams over whole rows of length m instead of the short
+    k, 4 and 6 axes.  Rows whose configuration is numerically degenerate get
+    +inf norm instead of raising, so the damped line search can simply
+    reject them.
+    """
+    coords = np.ascontiguousarray(pts.T)
+    diff = coords[:, _PAIR_I] - coords[:, _PAIR_J]
+    sq = (diff * diff).sum(0)
+    min_sep = np.sqrt(sq.min(axis=0))
+    nd = _NUM_DEN @ sq
+    num, den = nd[:4], nd[4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = num / den
+        res = g - G_TARGET[:, None]
+        norms = np.abs(res).max(axis=0)
+    ok = (min_sep > MACHINE_SEP * diameter) & np.isfinite(norms)
+    norms = np.where(ok, norms, np.inf)
+    if tan is None:
+        return res.T, norms, min_sep, None
+    tangents = np.ascontiguousarray(tan.T)[:, _PAIR_IJ]
+    dots = (np.concatenate([diff, diff], axis=1) * tangents).sum(0)
+    dnd = (_DOTS_TO_DNUM_DEN.T @ dots).reshape(8, 4, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = (dnd[:4] - g[:, None] * dnd[4:]) / den[:, None]
+    return res.T, norms, min_sep, jac.transpose(2, 0, 1).copy()
+
+
+def _single(curve: Curve, thetas, with_jacobian: bool):
+    """Kernel outputs at one angle tuple; raises on coincident curve points."""
+    th = np.asarray(thetas, dtype=float).reshape(1, 4)
+    tan = _tangents_at(curve, th) if with_jacobian else None
+    res, _, min_sep, jac = _kernel(_points_at(curve, th), curve.diameter, tan)
+    if min_sep[0] <= MACHINE_SEP * curve.diameter:
         raise DegenerateConfiguration(
-            f"curve points separated by {dmin:.3e}, below guard"
+            f"curve points separated by {min_sep[0]:.3e}, below guard"
         )
+    return res[0], None if jac is None else jac[0]
 
 
 def residual(curve: Curve, thetas) -> np.ndarray:
     """G(theta) = g(gamma(theta)) - (1, 1, 1, 0) for one angle 4-tuple."""
-    th = np.asarray(thetas, dtype=float).reshape(4)
-    _check_separation(curve, th)
-    res, _, _ = _residual_batch(curve, th[None, :])
-    return res[0]
+    return _single(curve, thetas, with_jacobian=False)[0]
 
 
 def jacobian(curve: Curve, thetas) -> np.ndarray:
     """Analytic 4x4 derivative of ``residual`` in the four angles."""
-    th = np.asarray(thetas, dtype=float).reshape(4)
-    _check_separation(curve, th)
-    return _jacobian_batch(curve, th[None, :])[0]
+    return _single(curve, thetas, with_jacobian=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +207,13 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     if n_per_axis < 4:
         raise ValueError("n_per_axis must be >= 4")
     values = TWO_PI * np.arange(n_per_axis) / n_per_axis
-    out = []
-    for combo in itertools.combinations(range(n_per_axis), 4):
-        for t in range(4):
-            if values[combo[t]] < np.pi / 2:
-                out.append([values[combo[(t + s) % 4]] for s in range(4)])
-    return np.array(out, dtype=float).reshape(-1, 4)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_per_axis), 4)),
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    # row t of the (4, 4) index table rotates a combination to start at slot t
+    rotations = combos[:, (np.arange(4)[:, None] + np.arange(4)) % 4]
+    return values[rotations[values[combos] < np.pi / 2]]
 
 
 def canonical_theta(thetas) -> np.ndarray:
@@ -256,61 +256,54 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     """
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
-    res, norms, _ = _residual_batch(curve, thetas)
+    pts = _points_at(curve, thetas)
+    res, norms, min_sep, _ = _kernel(pts, curve.diameter)
     converged = norms < opts.tol_residual
     active = np.ones(m, dtype=bool)
     used_singular = np.zeros(m, dtype=bool)
     for _ in range(opts.max_iters):
-        work = active & ~converged
-        if not work.any():
+        idx = np.flatnonzero(active & ~converged)
+        if not idx.size:
             break
-        idx = np.flatnonzero(work)
-        jac = _jacobian_batch(curve, thetas[idx])
+        _, _, _, jac = _kernel(pts[idx], curve.diameter, _tangents_at(curve, thetas[idx]))
         dets = np.linalg.det(jac)
         scale = np.abs(jac).max(axis=(1, 2)) + 1e-300
         regular = np.abs(dets) > 1e-10 * scale**4
+        rhs = -res[idx][..., None]
         step = np.empty((len(idx), 4))
         if regular.any():
-            step[regular] = np.linalg.solve(
-                jac[regular], -res[idx][regular][..., None]
-            )[..., 0]
+            step[regular] = np.linalg.solve(jac[regular], rhs[regular])[..., 0]
         if (~regular).any():
             pinv = np.linalg.pinv(jac[~regular], rcond=1e-10)
-            step[~regular] = -np.einsum("mij,mj->mi", pinv, res[idx][~regular])
+            step[~regular] = np.matmul(pinv, rhs[~regular])[..., 0]
             used_singular[idx[~regular]] = True
-        damping = np.ones(len(idx))
-        remaining = np.ones(len(idx), dtype=bool)
-        best_theta = thetas[idx].copy()
-        best_res = res[idx].copy()
-        best_norm = norms[idx].copy()
-        improved = np.zeros(len(idx), dtype=bool)
-        for _ in range(11):
-            if not remaining.any():
+        # halve the step until the residual norm drops; accepted trials
+        # overwrite their rows in place, points included
+        live = np.arange(len(idx))
+        for k in range(11):
+            if not live.size:
                 break
-            sub = np.flatnonzero(remaining)
-            trial = np.mod(thetas[idx][sub] + damping[sub, None] * step[sub], TWO_PI)
-            trial_res, trial_norm, _ = _residual_batch(curve, trial)
-            better = trial_norm < best_norm[sub]
-            hit = sub[better]
-            best_theta[hit] = trial[better]
-            best_res[hit] = trial_res[better]
-            best_norm[hit] = trial_norm[better]
-            improved[hit] = True
-            remaining[hit] = False
-            damping[remaining] *= 0.5
-        thetas[idx] = best_theta
-        res[idx] = best_res
-        norms[idx] = best_norm
-        converged[idx] = best_norm < opts.tol_residual
+            rows = idx[live]
+            trial = np.mod(thetas[rows] + 0.5**k * step[live], TWO_PI)
+            trial_pts = _points_at(curve, trial)
+            trial_res, trial_norm, trial_sep, _ = _kernel(trial_pts, curve.diameter)
+            better = trial_norm < norms[rows]
+            hit = rows[better]
+            thetas[hit] = trial[better]
+            pts[hit] = trial_pts[better]
+            res[hit] = trial_res[better]
+            norms[hit] = trial_norm[better]
+            min_sep[hit] = trial_sep[better]
+            live = live[~better]
+        improved = np.ones(len(idx), dtype=bool)
+        improved[live] = False
+        converged[idx] = norms[idx] < opts.tol_residual
         active[idx] = improved | converged[idx]
 
     status = np.full(m, _STATUS_DIVERGED, dtype=np.int8)
     conv_idx = np.flatnonzero(converged)
     if conv_idx.size:
-        pts = _points_at(curve, thetas[conv_idx])
-        d = _pair_distances(pts)
-        min_sep = np.min(np.stack([d[p] for p in _PAIRS], axis=1), axis=1)
-        rel_sep = min_sep / curve.diameter
+        rel_sep = min_sep[conv_idx] / curve.diameter
         ordered = _ordered_batch(thetas[conv_idx])
         st = np.full(conv_idx.size, _STATUS_CONVERGED, dtype=np.int8)
         st[~ordered] = _STATUS_LEFT_ORDERED
@@ -319,9 +312,8 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     return thetas, norms, status, used_singular
 
 
-def _certify(curve: Curve, theta: np.ndarray, opts: SolverOptions):
+def _certify(jac: np.ndarray, opts: SolverOptions):
     """Jacobian determinant and the scale-relative transversality verdict."""
-    jac = _jacobian_batch(curve, theta[None, :])[0]
     det = float(np.linalg.det(jac))
     rows = np.linalg.norm(jac, axis=1)
     if rows.max() == 0.0 or rows.min() <= ROW_FLOOR * rows.max():
@@ -330,14 +322,13 @@ def _certify(curve: Curve, theta: np.ndarray, opts: SolverOptions):
 
 
 def _make_solution(curve: Curve, theta: np.ndarray, opts: SolverOptions) -> Solution:
-    th = canonical_theta(theta)
-    pts = _points_at(curve, th[None, :])[0]
-    cfg = Config4(pts)
-    res, norms, min_sep = _residual_batch(curve, th[None, :])
-    det, transverse = _certify(curve, th, opts)
+    th = canonical_theta(theta)[None, :]
+    pts = _points_at(curve, th)
+    _, norms, min_sep, jac = _kernel(pts, curve.diameter, _tangents_at(curve, th))
+    det, transverse = _certify(jac[0], opts)
     return Solution(
-        theta=th,
-        config=cfg,
+        theta=th[0],
+        config=Config4(pts[0]),
         residual_norm=float(norms[0]),
         jac_det=det,
         transverse=transverse,

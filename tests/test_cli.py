@@ -91,6 +91,20 @@ def test_find_malformed_curve_names_field(curve_file, tmp_path, capsys):
     assert "coords" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_find_non_finite_coefficient_exits_1(tmp_path, token, capsys):
+    # json.load accepts these tokens; the curve must reject them, not the solve
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"dim": 2, "coords": [{"a0": %s, "cos": [2], "sin": [0]},'
+        ' {"a0": 0, "cos": [0], "sin": [1]}]}' % token
+    )
+    code = main(["find", "--curve", str(bad), "--json", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_find_missing_file(tmp_path):
     code = main(["find", "--curve", str(tmp_path / "nope.json")])
     assert code == 1

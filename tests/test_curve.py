@@ -58,6 +58,27 @@ def test_deriv_matches_central_differences():
     assert rel.max() < 1e-6
 
 
+def test_eval_deriv_match_direct_trig_at_8_harmonics():
+    # eval/deriv build harmonics by angle addition; compare with one cos and
+    # one sin per harmonic, to the rounding the recurrence may add
+    rng = np.random.default_rng(11)
+    curve = random_smooth_curve(rng, dim=3, harmonics=8)
+    thetas = np.concatenate([rng.uniform(0, TWO_PI, size=2000), [0.0, np.pi, TWO_PI]])
+    h = np.arange(1, 9)
+    ang = np.multiply.outer(thetas, h)
+    cos, sin = np.cos(ang), np.sin(ang)
+    points = curve.a0 + cos @ curve.cos_coeffs.T + sin @ curve.sin_coeffs.T
+    tangents = (cos * h) @ curve.sin_coeffs.T - (sin * h) @ curve.cos_coeffs.T
+    coeffs = np.concatenate([curve.cos_coeffs, curve.sin_coeffs], axis=1)
+    scale = np.abs(coeffs).max()
+    assert np.abs(curve.eval(thetas) - points).max() < 1e-13 * scale
+    deriv_scale = np.abs(coeffs * np.concatenate([h, h])).max()
+    assert np.abs(curve.deriv(thetas) - tangents).max() < 1e-13 * deriv_scale
+    assert np.abs(curve.eval(thetas[0]) - points[0]).max() < 1e-13 * scale
+    grid = curve.eval(thetas[:2000].reshape(40, 50))
+    assert np.abs(grid - points[:2000].reshape(40, 50, 3)).max() < 1e-13 * scale
+
+
 def test_periodicity():
     rng = np.random.default_rng(11)
     curve = random_smooth_curve(rng, dim=2, harmonics=5)
@@ -80,6 +101,23 @@ def test_make_ellipse_coefficients(ellipse21):
 
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 1), (1, -1)])
 def test_make_ellipse_rejects_nonpositive(a, b):
+    with pytest.raises(ValueError):
+        make_ellipse(a, b)
+
+
+@pytest.mark.parametrize("field", ["a0", "cos", "sin"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_rejects_non_finite_coefficients(field, bad):
+    a0 = np.zeros(2)
+    cos_c = np.array([[2.0], [0.0]])
+    sin_c = np.array([[0.0], [1.0]])
+    {"a0": a0, "cos": cos_c, "sin": sin_c}[field].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Curve(a0, cos_c, sin_c)
+
+
+@pytest.mark.parametrize("a,b", [(np.nan, 1), (1, np.nan), (np.inf, 1), (1, np.inf)])
+def test_make_ellipse_rejects_non_finite(a, b):
     with pytest.raises(ValueError):
         make_ellipse(a, b)
 

@@ -1,13 +1,21 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from squarepeg import (
+    Config4,
     SolverOptions,
     canonical_theta,
     class_distance,
     ellipse_dg_matrix,
     ellipse_square_angles,
     find_all,
+    g_map,
     jacobian,
     newton_refine,
     ordered_component_check,
@@ -21,6 +29,7 @@ from squarepeg.errors import (
     LeftOrderedComponent,
     NearBoundary,
 )
+from squarepeg.slq import G_TARGET
 
 from conftest import random_smooth_curve
 
@@ -62,19 +71,17 @@ def test_residual_rejects_collisions(ellipse21):
         residual(ellipse21, [1.0, 1.0 + 1e-13, 2.0, 3.0])
 
 
-def fd_jacobian_samples(n_samples, seed, h=1e-6):
-    """Worst |analytic - central difference| over random guarded samples.
+def guarded_samples(rng, n_samples, dim=2, harmonics=3):
+    """Random (curve, theta) pairs with ordered angles and separated vertices.
 
     Samples keep a moderate residual scale (angle separation >= 0.15, |G|
     bounded); closer-to-collision tuples satisfy the guard too but push the
     residual so large that central differences lose the target accuracy to
     truncation and cancellation, which would test the oracle, not the code.
     """
-    rng = np.random.default_rng(seed)
     checked = 0
-    worst = 0.0
     while checked < n_samples:
-        curve = random_smooth_curve(rng, dim=2, harmonics=3)
+        curve = random_smooth_curve(rng, dim=dim, harmonics=harmonics)
         theta = np.sort(rng.uniform(0, TWO_PI, size=4))
         gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
         if gaps.min() < 0.15:
@@ -87,6 +94,24 @@ def fd_jacobian_samples(n_samples, seed, h=1e-6):
             continue
         if np.abs(residual(curve, theta)).max() > 50:
             continue
+        yield curve, theta
+        checked += 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residual_matches_g_map(dim):
+    rng = np.random.default_rng(21 + dim)
+    for curve, theta in guarded_samples(rng, 40, dim=dim, harmonics=5):
+        expected = g_map(Config4(curve.eval(theta))) - G_TARGET
+        got = residual(curve, theta)
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def fd_jacobian_samples(n_samples, seed, h=1e-6, dim=2, harmonics=3):
+    """Worst |analytic - central difference| over ``guarded_samples``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for curve, theta in guarded_samples(rng, n_samples, dim=dim, harmonics=harmonics):
         jac = jacobian(curve, theta)
         fd = np.empty((4, 4))
         for col in range(4):
@@ -96,12 +121,15 @@ def fd_jacobian_samples(n_samples, seed, h=1e-6):
                 residual(curve, theta + shift) - residual(curve, theta - shift)
             ) / (2 * h)
         worst = max(worst, float(np.abs(jac - fd).max()))
-        checked += 1
     return worst
 
 
 def test_jacobian_matches_central_differences():
     assert fd_jacobian_samples(30, seed=12) < 1e-5
+
+
+def test_jacobian_matches_central_differences_r3_8_harmonics():
+    assert fd_jacobian_samples(30, seed=13, dim=3, harmonics=8) < 1e-5
 
 
 def test_jacobian_at_ellipse_square_matches_basis_matrix(ellipse21):
@@ -122,6 +150,23 @@ def test_seed_grid_minimal():
     seeds = seed_grid(4)
     assert seeds.shape == (1, 4)
     assert np.allclose(seeds[0], [0, np.pi / 2, np.pi, 3 * np.pi / 2])
+
+
+def _seed_grid_reference(n_per_axis):
+    """Loop form of ``seed_grid``: every rotation of each combination that
+    starts below pi/2, combinations in lexicographic order."""
+    values = TWO_PI * np.arange(n_per_axis) / n_per_axis
+    out = []
+    for combo in itertools.combinations(range(n_per_axis), 4):
+        for t in range(4):
+            if values[combo[t]] < np.pi / 2:
+                out.append([values[combo[(t + s) % 4]] for s in range(4)])
+    return np.array(out, dtype=float).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("n", [4, 8, 24])
+def test_seed_grid_matches_loop_reference(n):
+    assert np.array_equal(seed_grid(n), _seed_grid_reference(n))
 
 
 def test_seed_grid_contract():
@@ -292,3 +337,24 @@ def test_continuum_suspected_flag(unit_circle):
     report = find_all(unit_circle, SolverOptions(grid=8, dedup_radius=1e-3))
     assert "NonTransverse" in report.degeneracy_flags
     assert "ContinuumSuspected" in report.degeneracy_flags
+
+
+def test_find_does_not_import_scipy_optimize():
+    # scipy.optimize dominates the package's import time; only continuation
+    # needs it, so importing the package and solving must not load it
+    code = (
+        "import sys\n"
+        "import squarepeg\n"
+        "squarepeg.find_all(squarepeg.make_ellipse(2, 1), squarepeg.SolverOptions(grid=8))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
