@@ -185,31 +185,11 @@ def strata_proximity(c: Config4, scale: float, eps: float = 1e-3) -> Stratum:
 def block_cycle_orientation_sign(k: int) -> int:
     """Sign of the determinant of the block relabeling (1,2,3,4) -> (2,3,4,1).
 
-    Builds the 4k x 4k permutation matrix that sends the stacked coordinate
-    blocks of (p1, p2, p3, p4) to those of (p2, p3, p4, p1) and returns the
-    exact sign of its determinant (the permutation's parity).
+    The 4k x 4k permutation matrix sending the stacked coordinate blocks of
+    (p1, p2, p3, p4) to those of (p2, p3, p4, p1) permutes the coordinates as
+    k disjoint 4-cycles, one per coordinate index; a 4-cycle is odd, so the
+    sign is (-1)^k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = 4 * k
-    mat = np.zeros((n, n), dtype=np.int64)
-    for block in range(4):
-        src = (block + 1) % 4
-        for t in range(k):
-            mat[block * k + t, src * k + t] = 1
-    if not (np.all(mat.sum(axis=0) == 1) and np.all(mat.sum(axis=1) == 1)):
-        raise AssertionError("block cycle matrix is not a permutation")
-    perm = np.argmax(mat, axis=1)
-    seen = np.zeros(n, dtype=bool)
-    transpositions = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        transpositions += length - 1
-    return -1 if transpositions % 2 else 1
+    return -1 if k % 2 else 1

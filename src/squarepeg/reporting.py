@@ -8,10 +8,9 @@ import json
 
 import numpy as np
 
+from .config import TWO_PI
 from .curve import Curve
 from .solver import SolveReport, SolverOptions
-
-TWO_PI = 2.0 * np.pi
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import Config4, ordered_component_check
+from .config import TWO_PI, Config4, ordered_component_check
 from .curve import Curve
 from .errors import (
     DegenerateConfiguration,
@@ -23,8 +23,6 @@ from .errors import (
     SingularJacobianDuringIteration,
 )
 from .slq import G_TARGET
-
-TWO_PI = 2.0 * np.pi
 
 #: minimum separation (relative to diameter) below which G is not evaluated
 MACHINE_SEP = 1e-9
@@ -70,6 +68,15 @@ def _dots_to_dnum_den() -> np.ndarray:
 
 _DOTS_TO_DNUM_DEN = _dots_to_dnum_den()
 _PAIR_IJ = np.concatenate([_PAIR_I, _PAIR_J])
+
+#: column pairs of the 2x2 minors
+_COL_PAIRS = list(itertools.combinations(range(4), 2))
+#: cofactor expansion for column i: each column k != i with the index of
+#: the column pair that i and k leave
+_EXPANSION = [
+    [(k, _COL_PAIRS.index(tuple(sorted({0, 1, 2, 3} - {i, k})))) for k in range(4) if k != i]
+    for i in range(4)
+]
 
 _STATUS_CONVERGED = 0
 _STATUS_DIVERGED = 1
@@ -145,9 +152,9 @@ def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
     Jacobian row is (dN_r - g_r dD_r) / D_r, built from the same differences
     and the tangents.  The work runs batch-last, (k, 6, m), so every
     operation streams over whole rows of length m instead of the short
-    k, 4 and 6 axes.  Rows whose configuration is numerically degenerate get
-    +inf norm instead of raising, so the damped line search can simply
-    reject them.
+    k, 4 and 6 axes, and the Jacobian comes out batch-last too, (4, 4, m).
+    Rows whose configuration is numerically degenerate get +inf norm instead
+    of raising, so the damped line search can simply reject them.
     """
     coords = np.ascontiguousarray(pts.T)
     diff = coords[:, _PAIR_I] - coords[:, _PAIR_J]
@@ -168,7 +175,7 @@ def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
     dnd = (_DOTS_TO_DNUM_DEN.T @ dots).reshape(8, 4, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         jac = (dnd[:4] - g[:, None] * dnd[4:]) / den[:, None]
-    return res.T, norms, min_sep, jac.transpose(2, 0, 1).copy()
+    return res.T, norms, min_sep, jac
 
 
 def _single(curve: Curve, thetas, with_jacobian: bool):
@@ -180,7 +187,7 @@ def _single(curve: Curve, thetas, with_jacobian: bool):
         raise DegenerateConfiguration(
             f"curve points separated by {min_sep[0]:.3e}, below guard"
         )
-    return res[0], None if jac is None else jac[0]
+    return res[0], None if jac is None else jac[..., 0]
 
 
 def residual(curve: Curve, thetas) -> np.ndarray:
@@ -250,9 +257,9 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     """Damped Newton on all seeds at once.
 
     Returns (thetas, residual sup-norms, status array, singular-fallback flags).
-    The step is the plain Newton solve where the Jacobian is comfortably
-    nonsingular and a pseudo-inverse (Gauss-Newton) step otherwise; damping
-    halves the step until the residual norm decreases.
+    The step comes from ``_newton_step``; damping halves it until the
+    residual norm decreases.  A seed is flagged once any of its Jacobians
+    fails the determinant regularity test.
     """
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
@@ -266,17 +273,8 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         if not idx.size:
             break
         _, _, _, jac = _kernel(pts[idx], curve.diameter, _tangents_at(curve, thetas[idx]))
-        dets = np.linalg.det(jac)
-        scale = np.abs(jac).max(axis=(1, 2)) + 1e-300
-        regular = np.abs(dets) > 1e-10 * scale**4
-        rhs = -res[idx][..., None]
-        step = np.empty((len(idx), 4))
-        if regular.any():
-            step[regular] = np.linalg.solve(jac[regular], rhs[regular])[..., 0]
-        if (~regular).any():
-            pinv = np.linalg.pinv(jac[~regular], rcond=1e-10)
-            step[~regular] = np.matmul(pinv, rhs[~regular])[..., 0]
-            used_singular[idx[~regular]] = True
+        step, regular = _newton_step(jac, res[idx].T)
+        used_singular[idx[~regular]] = True
         # halve the step until the residual norm drops; accepted trials
         # overwrite their rows in place, points included
         live = np.arange(len(idx))
@@ -312,9 +310,62 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     return thetas, norms, status, used_singular
 
 
+def _cofactors(jac: np.ndarray):
+    """Cofactor matrices and determinants of a batch-last (4, 4, m) stack.
+
+    Laplace expansion by complementary minors: the 2x2 minors of rows (0, 1)
+    and of rows (2, 3) on the six column pairs are formed once.  Cofactor
+    C[j, i] expands the 3x3 left by row j and column i along the other row
+    of j's pair, which sits first or last of the three and so adds no sign,
+    against the minors of the other pair; det is row 0 against its
+    cofactors.  Every operation runs on whole rows of length m.
+    """
+    minors = [
+        [top[a] * bottom[b] - top[b] * bottom[a] for a, b in _COL_PAIRS]
+        for top, bottom in (jac[:2], jac[2:])
+    ]
+    cof = np.empty_like(jac)
+    for j, i in itertools.product(range(4), range(4)):
+        row, mins = jac[j ^ 1], minors[1 - j // 2]
+        (k0, p0), (k1, p1), (k2, p2) = _EXPANSION[i]
+        term = row[k0] * mins[p0] - row[k1] * mins[p1] + row[k2] * mins[p2]
+        np.multiply(term, (-1.0) ** (i + j), out=cof[j, i])
+    return cof, np.einsum("im,im->m", jac[0], cof[0])
+
+
+def _newton_step(jac: np.ndarray, res: np.ndarray):
+    """Newton steps -J^-1 r for a batch-last (4, 4, m) Jacobian and (4, m) residual.
+
+    Returns the (m, 4) steps and the mask of rows that pass the regularity
+    test |det| > 1e-10 max|J_ij|^4.  A row takes the closed form
+    -adj(J) r / det when it is regular or when ||J||_F ||adj J||_F <
+    1e10 |det|: that bounds cond_2(J) <= cond_F(J) < 1e10, so no singular
+    value falls below 1e-10 sigma_max and pinv(J, rcond=1e-10) is exactly
+    J^-1.  Only the other, numerically rank-deficient rows pay for the SVD
+    of the pseudo-inverse (Gauss-Newton) step.  The adjugate loses accuracy
+    faster than LU as J nears singularity (2e-8 against 1e-11 relative at
+    cond 1e6), so the closed form takes one step of iterative refinement
+    with the same cofactors, which brings it back to LU's accuracy.
+    """
+    cof, det = _cofactors(jac)
+    # rows of a degenerate seed may hold inf or nan; they fail both tests
+    with np.errstate(all="ignore"):
+        scale = np.maximum(jac.max(axis=(0, 1)), -jac.min(axis=(0, 1)))
+        regular = np.abs(det) > 1e-10 * scale**4
+        size = np.einsum("jim,jim->m", jac, jac) * np.einsum("jim,jim->m", cof, cof)
+        rank_deficient = ~(regular | (size < 1e20 * det * det))
+        step = np.einsum("jim,jm->im", cof, res) / -det
+        step += np.einsum("jim,jm->im", cof, res + np.einsum("jim,im->jm", jac, step)) / -det
+    if rank_deficient.any():
+        pinv = np.linalg.pinv(jac[..., rank_deficient].transpose(2, 0, 1), rcond=1e-10)
+        rhs = -res[:, rank_deficient].T[..., None]
+        step[:, rank_deficient] = np.matmul(pinv, rhs)[..., 0].T
+    return step.T, regular
+
+
 def _certify(jac: np.ndarray, opts: SolverOptions):
     """Jacobian determinant and the scale-relative transversality verdict."""
-    det = float(np.linalg.det(jac))
+    det = float(_cofactors(jac[..., None])[1][0])
     rows = np.linalg.norm(jac, axis=1)
     if rows.max() == 0.0 or rows.min() <= ROW_FLOOR * rows.max():
         return det, False
@@ -325,7 +376,7 @@ def _make_solution(curve: Curve, theta: np.ndarray, opts: SolverOptions) -> Solu
     th = canonical_theta(theta)[None, :]
     pts = _points_at(curve, th)
     _, norms, min_sep, jac = _kernel(pts, curve.diameter, _tangents_at(curve, th))
-    det, transverse = _certify(jac[0], opts)
+    det, transverse = _certify(jac[..., 0], opts)
     return Solution(
         theta=th[0],
         config=Config4(pts[0]),

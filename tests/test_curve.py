@@ -172,6 +172,30 @@ def test_figure_eight_nearly_self_intersects():
     assert report["min_self_distance"] < 0.01
 
 
+def min_self_distance_reference(curve, samples, exclusion=4):
+    """Brute-force minimum over sample pairs more than ``exclusion`` steps apart."""
+    pts = curve.eval(TWO_PI * np.arange(samples) / samples)
+    best = np.inf
+    for i in range(samples):
+        gap = np.abs(np.arange(samples) - i)
+        gap = np.minimum(gap, samples - gap)
+        dist = np.linalg.norm(pts - pts[i], axis=1)
+        best = min(best, float(dist[gap > exclusion].min()))
+    return best
+
+
+@pytest.mark.parametrize("samples", [16, 100, 1024])
+def test_embedding_check_matches_brute_force(samples):
+    rng = np.random.default_rng(samples)
+    figure_eight = Curve([0, 0], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    curves = [figure_eight] + [
+        random_smooth_curve(rng, dim=dim, harmonics=5) for dim in (2, 2, 3)
+    ]
+    for curve in curves:
+        got = regularity_and_embedding_check(curve, samples=samples)["min_self_distance"]
+        assert got == pytest.approx(min_self_distance_reference(curve, samples), rel=1e-12)
+
+
 def test_regularity_check_rejects_degenerate_curve():
     with pytest.raises(RegularityLost):
         Curve([0, 0], [[1.0], [0.0]], [[0.0], [0.0]])  # (cos t, 0) stalls at t=0

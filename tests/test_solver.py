@@ -28,8 +28,10 @@ from squarepeg.errors import (
     Divergence,
     LeftOrderedComponent,
     NearBoundary,
+    SingularJacobianDuringIteration,
 )
 from squarepeg.slq import G_TARGET
+from squarepeg.solver import _newton_step
 
 from conftest import random_smooth_curve
 
@@ -146,6 +148,72 @@ def test_jacobian_singular_on_circle(unit_circle):
         assert abs(det) < 1e-10
 
 
+def matrices_with_singular_values(rng, sigmas):
+    """(n, 4, 4) matrices U diag(sigma) V^T with random orthogonal U, V."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    u, _ = np.linalg.qr(rng.normal(size=(len(sigmas), 4, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(len(sigmas), 4, 4)))
+    return (u * sigmas[:, None, :]) @ np.swapaxes(v, 1, 2)
+
+
+def newton_step_batch_first(jac, res):
+    """``_newton_step`` on (n, 4, 4) Jacobians and (n, 4) residuals."""
+    return _newton_step(np.ascontiguousarray(jac.transpose(1, 2, 0)), res.T.copy())
+
+
+def pinv_step(jac, res):
+    return np.matmul(np.linalg.pinv(jac, rcond=1e-10), -res[..., None])[..., 0]
+
+
+def test_newton_step_matches_solve_on_well_conditioned_rows():
+    rng = np.random.default_rng(31)
+    n = 500
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    jac = matrices_with_singular_values(rng, rng.uniform(0.5, 2.0, size=(n, 4)))
+    jac *= scale[:, None, None]
+    res = rng.normal(size=(n, 4))
+    step, regular = newton_step_batch_first(jac, res)
+    expected = np.linalg.solve(jac, -res[..., None])[..., 0]
+    rel = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert regular.all()
+    assert rel.max() < 1e-12
+
+
+def test_newton_step_matches_pinv_on_rank_deficient_rows(unit_circle):
+    rng = np.random.default_rng(32)
+    # circle Jacobians: rotating all four angles together is a null direction
+    circle = [
+        jacobian(unit_circle, np.sort(rng.uniform(0, TWO_PI, size=4))) for _ in range(6)
+    ]
+    for jac in circle:
+        assert np.abs(jac @ np.ones(4)).max() < 1e-12 * np.abs(jac).max()
+    near = matrices_with_singular_values(rng, [[1.0, 0.7, 0.4, 1e-11]] * 6)
+    jac = np.concatenate([np.array(circle), near])
+    res = rng.normal(size=(len(jac), 4))
+    step, regular = newton_step_batch_first(jac, res)
+    expected = pinv_step(jac, res)
+    assert not regular.any()
+    assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_newton_step_closed_form_on_ill_conditioned_rows(monkeypatch):
+    # sigma_min / sigma_max = 1e-6: det fails the 1e-10 max|J_ij|^4 test, but
+    # cond_F < 1e10 proves pinv(J, rcond=1e-10) = J^-1, so no SVD is needed
+    rng = np.random.default_rng(33)
+    jac = matrices_with_singular_values(rng, [[1.0, 1e-4, 1e-4, 1e-6]] * 50)
+    res = rng.normal(size=(50, 4))
+    expected = pinv_step(jac, res)
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv called on a row with cond_F < 1e10")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    step, regular = newton_step_batch_first(jac, res)
+    rel = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert not regular.any()
+    assert rel.max() < 1e-8
+
+
 def test_seed_grid_minimal():
     seeds = seed_grid(4)
     assert seeds.shape == (1, 4)
@@ -217,6 +285,15 @@ def test_newton_refine_error_paths(ellipse21):
     # this seed converges onto a reversed (clockwise) root
     with pytest.raises(LeftOrderedComponent):
         newton_refine(ellipse21, [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+
+
+def test_newton_refine_singular_jacobian_during_iteration(unit_circle):
+    # every circle Jacobian is singular, so a seed that cannot converge in one
+    # iteration stalls with the pseudo-inverse flag set
+    with pytest.raises(SingularJacobianDuringIteration):
+        newton_refine(
+            unit_circle, [0.2, 1.7, 3.3, 4.8], SolverOptions(max_iters=1, tol_residual=1e-14)
+        )
 
 
 def test_quotient_dedup_cyclic_relabelings(ellipse21):
@@ -341,12 +418,13 @@ def test_continuum_suspected_flag(unit_circle):
 
 def test_find_does_not_import_scipy_optimize():
     # scipy.optimize dominates the package's import time; only continuation
-    # needs it, so importing the package and solving must not load it
+    # needs it (and scipy.spatial, for the embedding check), so importing
+    # the package and solving must load neither
     code = (
         "import sys\n"
         "import squarepeg\n"
         "squarepeg.find_all(squarepeg.make_ellipse(2, 1), squarepeg.SolverOptions(grid=8))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
@@ -357,4 +435,4 @@ def test_find_does_not_import_scipy_optimize():
         timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
