@@ -225,5 +225,18 @@ def curve_from_json_dict(data: dict) -> Curve:
 
 
 def _point_set_diameter(pts: np.ndarray) -> float:
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return float(d.max())
+    """Largest distance between two of the (n, k) points.
+
+    The farthest pair is located on the squared distances |a|^2 + |b|^2 -
+    2 a.b of the centred points, one (n, n) Gram matrix instead of an
+    (n, n, k) difference array; its distance is then taken exactly.  The
+    Gram form errs by a few eps times the squared diameter, so the pair it
+    picks is the farthest to within that relative error.
+    """
+    centred = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    dist2 = (-2.0 * centred) @ centred.T
+    dist2 += sq[:, None]
+    dist2 += sq
+    i, j = divmod(int(np.argmax(dist2)), len(pts))
+    return float(np.linalg.norm(pts[i] - pts[j]))

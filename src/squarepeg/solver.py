@@ -93,6 +93,20 @@ class SolverOptions:
     sep_guard: float = 1e-3
     det_threshold: float = 1e-8
 
+    def __post_init__(self):
+        # the comparisons are False for nan, so each also rejects it
+        checks = (
+            ("grid", self.grid >= 4, ">= 4"),
+            ("max_iters", self.max_iters >= 1, ">= 1"),
+            ("tol_residual", 0 < self.tol_residual < np.inf, "finite and > 0"),
+            ("dedup_radius", 0 < self.dedup_radius < np.inf, "finite and > 0"),
+            ("sep_guard", 0 <= self.sep_guard < 1, "in [0, 1)"),
+            ("det_threshold", 0 <= self.det_threshold < np.inf, "finite and >= 0"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return {
             "grid": self.grid,
@@ -258,8 +272,10 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
 
     Returns (thetas, residual sup-norms, status array, singular-fallback flags).
     The step comes from ``_newton_step``; damping halves it until the
-    residual norm decreases.  A seed is flagged once any of its Jacobians
-    fails the determinant regularity test.
+    residual norm decreases.  A seed stops when it converges, when no halved
+    step decreases the residual, or when its iterate leaves the ordered
+    component, which gives it ``_STATUS_LEFT_ORDERED``.  A seed is flagged
+    once any of its Jacobians fails the determinant regularity test.
     """
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
@@ -296,17 +312,13 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         improved = np.ones(len(idx), dtype=bool)
         improved[live] = False
         converged[idx] = norms[idx] < opts.tol_residual
-        active[idx] = improved | converged[idx]
+        # roots outside the ordered component are discarded, so a seed
+        # that leaves it is decided and stops here
+        active[idx] = improved & _ordered_batch(thetas[idx])
 
-    status = np.full(m, _STATUS_DIVERGED, dtype=np.int8)
-    conv_idx = np.flatnonzero(converged)
-    if conv_idx.size:
-        rel_sep = min_sep[conv_idx] / curve.diameter
-        ordered = _ordered_batch(thetas[conv_idx])
-        st = np.full(conv_idx.size, _STATUS_CONVERGED, dtype=np.int8)
-        st[~ordered] = _STATUS_LEFT_ORDERED
-        st[ordered & (rel_sep <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
-        status[conv_idx] = st
+    status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
+    status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
+    status[~_ordered_batch(thetas)] = _STATUS_LEFT_ORDERED
     return thetas, norms, status, used_singular
 
 
@@ -341,26 +353,72 @@ def _newton_step(jac: np.ndarray, res: np.ndarray):
     -adj(J) r / det when it is regular or when ||J||_F ||adj J||_F <
     1e10 |det|: that bounds cond_2(J) <= cond_F(J) < 1e10, so no singular
     value falls below 1e-10 sigma_max and pinv(J, rcond=1e-10) is exactly
-    J^-1.  Only the other, numerically rank-deficient rows pay for the SVD
-    of the pseudo-inverse (Gauss-Newton) step.  The adjugate loses accuracy
-    faster than LU as J nears singularity (2e-8 against 1e-11 relative at
-    cond 1e6), so the closed form takes one step of iterative refinement
-    with the same cofactors, which brings it back to LU's accuracy.
+    J^-1.  The other, numerically rank-deficient rows take the closed-form
+    minimum-norm step of ``_rank3_step`` where it is proven to match the
+    pseudo-inverse (Gauss-Newton) step, and only the rest pay for the SVD
+    of ``np.linalg.pinv``.
     """
     cof, det = _cofactors(jac)
-    # rows of a degenerate seed may hold inf or nan; they fail both tests
+    # rows of a degenerate seed may hold inf or nan; they fail every test
     with np.errstate(all="ignore"):
         scale = np.maximum(jac.max(axis=(0, 1)), -jac.min(axis=(0, 1)))
         regular = np.abs(det) > 1e-10 * scale**4
         size = np.einsum("jim,jim->m", jac, jac) * np.einsum("jim,jim->m", cof, cof)
-        rank_deficient = ~(regular | (size < 1e20 * det * det))
-        step = np.einsum("jim,jm->im", cof, res) / -det
-        step += np.einsum("jim,jm->im", cof, res + np.einsum("jim,im->jm", jac, step)) / -det
-    if rank_deficient.any():
-        pinv = np.linalg.pinv(jac[..., rank_deficient].transpose(2, 0, 1), rcond=1e-10)
-        rhs = -res[:, rank_deficient].T[..., None]
-        step[:, rank_deficient] = np.matmul(pinv, rhs)[..., 0].T
+        step = _solve(jac, cof, det, res)
+        rest = np.flatnonzero(~(regular | (size < 1e20 * det * det)))
+        if rest.size:
+            step[:, rest], proven = _rank3_step(jac[..., rest], cof[..., rest], res[:, rest])
+            rest = rest[~proven]
+    if rest.size:
+        pinv = np.linalg.pinv(jac[..., rest].transpose(2, 0, 1), rcond=1e-10)
+        step[:, rest] = np.matmul(pinv, -res[:, rest].T[..., None])[..., 0].T
     return step.T, regular
+
+
+def _solve(jac: np.ndarray, cof: np.ndarray, det: np.ndarray, res: np.ndarray):
+    """-J^-1 r as -adj(J) r / det plus one step of iterative refinement.
+
+    The adjugate alone loses accuracy faster than LU as J nears singularity
+    (2e-8 against 1e-11 relative at cond 1e6); one refinement with the same
+    cofactors brings it back to LU's accuracy.
+    """
+    step = np.einsum("jim,jm->im", cof, res) / -det
+    lin_res = res + np.einsum("jim,im->jm", jac, step)
+    return step + np.einsum("jim,jm->im", cof, lin_res) / -det
+
+
+def _rank3_step(jac: np.ndarray, cof: np.ndarray, res: np.ndarray):
+    """Minimum-norm steps -pinv(J) r on batch-last rows of rank 3.
+
+    For rank 3, adj J = c n w^T with unit n spanning null(J) and w spanning
+    null(J^T); the row and the column of the cofactor matrix through its
+    largest entry give them.  With s = ||J||_F, M = J + s w n^T is regular
+    and pinv(J) = M^-1 - n w^T / s exactly, M^-1 coming from M's cofactors.
+    Returns the (4, m) steps and the mask of rows where they provably match
+    pinv(J, rcond=1e-10).  There rho = ||J n|| + ||w^T J|| + 1e-15 ||J||_F
+    (the margin covers rounding) is at most 1e-11 |det M| / ||adj M||_F, and
+    |det M| / ||adj M||_F <= sigma_min(M) <= sigma_3(J) because J is a rank-
+    one change of M.  As sigma_4 <= ||J n||, that gives sigma_4 <= 1e-11
+    sigma_3, which pinv drops, and sigma_3 >= 1e-4 ||J||_F, which it keeps;
+    n and w lie within rho / sigma_3 <= 1e-11 of the null spaces, which puts
+    the step within about 2e-11 ||pinv(J)|| ||r|| of pinv's.
+    """
+    m = jac.shape[-1]
+    rows = np.arange(m)
+    j, i = divmod(np.abs(cof).reshape(16, m).argmax(axis=0), 4)
+    by_row = cof.transpose(2, 0, 1)
+    n, w = by_row[rows, j].T, by_row[rows, :, i].T
+    n /= np.sqrt(np.einsum("im,im->m", n, n))
+    w /= np.sqrt(np.einsum("jm,jm->m", w, w))
+    s = np.sqrt(np.einsum("jim,jim->m", jac, jac))
+    aug = jac + s * w[:, None] * n[None, :]
+    aug_cof, aug_det = _cofactors(aug)
+    step = _solve(aug, aug_cof, aug_det, res) + n * (np.einsum("jm,jm->m", w, res) / s)
+    jn = np.einsum("jim,im->jm", jac, n)
+    wj = np.einsum("jim,jm->im", jac, w)
+    rho = np.sqrt(np.einsum("jm,jm->m", jn, jn)) + np.sqrt(np.einsum("im,im->m", wj, wj))
+    sigma_min = np.abs(aug_det) / np.sqrt(np.einsum("jim,jim->m", aug_cof, aug_cof))
+    return step, rho + 1e-15 * s <= 1e-11 * sigma_min
 
 
 def _certify(jac: np.ndarray, opts: SolverOptions):
@@ -398,7 +456,7 @@ def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> So
     if st == _STATUS_CONVERGED:
         return _make_solution(curve, thetas[0], opts)
     if st == _STATUS_LEFT_ORDERED:
-        raise LeftOrderedComponent(f"converged to unordered angles {thetas[0]}")
+        raise LeftOrderedComponent(f"left the ordered component at angles {thetas[0]}")
     if st == _STATUS_NEAR_BOUNDARY:
         raise NearBoundary(
             "converged configuration violates the minimum-separation guard"

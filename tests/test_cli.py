@@ -217,3 +217,29 @@ def test_solver_flags_accepted(curve_file, tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["options"]["grid"] == 8
     assert report["options"]["tol_residual"] == 1e-11
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--dedup-eps", "0", "dedup_radius"),
+        ("--dedup-eps", "-1", "dedup_radius"),
+        ("--dedup-eps", "inf", "dedup_radius"),
+        ("--max-iters", "-1", "max_iters"),
+        ("--max-iters", "0", "max_iters"),
+        ("--tol", "nan", "tol_residual"),
+        ("--tol", "0", "tol_residual"),
+        ("--grid", "3", "grid"),
+        ("--sep-guard", "1", "sep_guard"),
+        ("--sep-guard", "-0.1", "sep_guard"),
+        ("--sep-guard", "nan", "sep_guard"),
+        ("--det-threshold", "-1", "det_threshold"),
+        ("--det-threshold", "inf", "det_threshold"),
+    ],
+)
+def test_invalid_solver_flag_exits_1(curve_file, tmp_path, capsys, flag, value, field):
+    report = tmp_path / "r.json"
+    code = main(["find", "--curve", curve_file(ELLIPSE), flag, value, "--json", str(report)])
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not report.exists()

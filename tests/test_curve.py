@@ -10,6 +10,7 @@ from squarepeg import (
     perturb,
     regularity_and_embedding_check,
 )
+from squarepeg.curve import CHECK_SAMPLES, _point_set_diameter
 from squarepeg.errors import RegularityLost
 
 from conftest import random_smooth_curve
@@ -194,6 +195,27 @@ def test_embedding_check_matches_brute_force(samples):
     for curve in curves:
         got = regularity_and_embedding_check(curve, samples=samples)["min_self_distance"]
         assert got == pytest.approx(min_self_distance_reference(curve, samples), rel=1e-12)
+
+
+def diameter_reference(pts):
+    """Brute force: the largest norm in the full (n, n, k) difference array."""
+    return float(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).max())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diameter_matches_brute_force(dim):
+    rng = np.random.default_rng(40 + dim)
+    theta = TWO_PI * np.arange(CHECK_SAMPLES) / CHECK_SAMPLES
+    for harmonics in (1, 3, 8):
+        curve = random_smooth_curve(rng, dim=dim, harmonics=harmonics)
+        expected = diameter_reference(curve.eval(theta[::8]))
+        assert curve.diameter == pytest.approx(expected, rel=1e-12, abs=0)
+    for _ in range(5):
+        # clouds far from the origin: the Gram form works on centred points
+        pts = rng.normal(size=(300, dim)) * rng.uniform(0.01, 1, size=dim) + 1e8
+        assert _point_set_diameter(pts) == pytest.approx(
+            diameter_reference(pts), rel=1e-12, abs=0
+        )
 
 
 def test_regularity_check_rejects_degenerate_curve():

@@ -9,6 +9,7 @@ import pytest
 
 from squarepeg import (
     Config4,
+    Curve,
     SolverOptions,
     canonical_theta,
     class_distance,
@@ -17,8 +18,10 @@ from squarepeg import (
     find_all,
     g_map,
     jacobian,
+    make_ellipse,
     newton_refine,
     ordered_component_check,
+    perturb,
     quotient_dedup,
     residual,
     seed_grid,
@@ -30,8 +33,9 @@ from squarepeg.errors import (
     NearBoundary,
     SingularJacobianDuringIteration,
 )
+from squarepeg import solver
 from squarepeg.slq import G_TARGET
-from squarepeg.solver import _newton_step
+from squarepeg.solver import _STATUS_LEFT_ORDERED, _newton_batch, _newton_step
 
 from conftest import random_smooth_curve
 
@@ -165,6 +169,20 @@ def pinv_step(jac, res):
     return np.matmul(np.linalg.pinv(jac, rcond=1e-10), -res[..., None])[..., 0]
 
 
+def count_rows(monkeypatch, owner, name, axis):
+    """Patch ``owner.name`` to record the batch length, along ``axis``, of
+    the array passed to it first."""
+    rows = []
+    inner = getattr(owner, name)
+
+    def counting(batch, *args, **kwargs):
+        rows.append(batch.shape[axis])
+        return inner(batch, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return rows
+
+
 def test_newton_step_matches_solve_on_well_conditioned_rows():
     rng = np.random.default_rng(31)
     n = 500
@@ -212,6 +230,50 @@ def test_newton_step_closed_form_on_ill_conditioned_rows(monkeypatch):
     rel = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert not regular.any()
     assert rel.max() < 1e-8
+
+
+def test_newton_step_rank3_rows_take_closed_form(unit_circle, monkeypatch):
+    # rank-3 rows whose sigma_3 is well above rounding take J + s w n^T with
+    # the null vectors n, w from the adjugate instead of an SVD
+    rng = np.random.default_rng(34)
+    circle = np.array(
+        [jacobian(unit_circle, np.sort(rng.uniform(0, TWO_PI, size=4))) for _ in range(300)]
+    )
+    sigma = np.linalg.svd(circle, compute_uv=False)
+    circle = circle[sigma[:, 2] >= 1e-2 * sigma[:, 0]]
+    rank3 = matrices_with_singular_values(rng, [[1.0, 0.5, 1e-2, 0.0]] * 100)
+    jac = np.concatenate([circle, rank3 * 10.0 ** rng.uniform(-3, 3, size=(100, 1, 1))])
+    res = rng.normal(size=(len(jac), 4))
+    pinv = np.linalg.pinv(jac, rcond=1e-10)
+    expected = np.matmul(pinv, -res[..., None])[..., 0]
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv called on a provably rank-3 row")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    step, regular = newton_step_batch_first(jac, res)
+    scale = np.linalg.norm(pinv, ord=2, axis=(1, 2)) * np.linalg.norm(res, axis=1)
+    assert len(circle) > 100
+    assert not regular.any()
+    assert (np.linalg.norm(step - expected, axis=1) <= 1e-10 * scale).all()
+
+
+def test_newton_step_unproven_rank3_rows_use_pinv(monkeypatch):
+    # sigma_4 = 1e-11 is dropped by pinv but too close to sigma_3 = 0.4 for
+    # the closed form to be proven within 1e-11, and sigma_3 = 1e-5 is too
+    # small against ||J||_F; on the diagonal rows n and w are exact, but
+    # pinv also drops sigma_3 = 1e-11.  These rows keep the SVD
+    rng = np.random.default_rng(35)
+    sigmas = [[1.0, 0.7, 0.4, 1e-11]] * 20 + [[1.0, 1.0, 1e-5, 0.0]] * 20
+    diagonal = np.array(
+        [np.diag([1.0, 1.0, 1e-11, 0.0])[list(p)] for p in itertools.permutations(range(4))]
+    )
+    jac = np.concatenate([matrices_with_singular_values(rng, sigmas), diagonal])
+    res = rng.normal(size=(len(jac), 4))
+    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
+    step, _ = newton_step_batch_first(jac, res)
+    assert rows == [len(jac)]
+    assert np.allclose(step, pinv_step(jac, res), rtol=1e-13, atol=0)
 
 
 def test_seed_grid_minimal():
@@ -294,6 +356,73 @@ def test_newton_refine_singular_jacobian_during_iteration(unit_circle):
         newton_refine(
             unit_circle, [0.2, 1.7, 3.3, 4.8], SolverOptions(max_iters=1, tol_residual=1e-14)
         )
+
+
+def test_seed_that_leaves_ordered_component_stops_there(ellipse21):
+    # Newton from this seed passes through unordered angles on its way to the
+    # ellipse's square; it is dropped where it leaves, not iterated back
+    seed = np.array([0, 1, 2, 8]) * np.pi / 12
+    thetas, norms, status, _ = _newton_batch(ellipse21, seed[None, :], SolverOptions())
+    assert status[0] == _STATUS_LEFT_ORDERED
+    assert norms[0] > 1.0
+    assert not ordered_component_check(thetas[0])
+    with pytest.raises(LeftOrderedComponent, match="left the ordered component"):
+        newton_refine(ellipse21, seed)
+
+
+def test_newton_batch_work_on_ellipse(ellipse21, monkeypatch):
+    # most of the 10,626 seeds leave the ordered component within a few
+    # iterations and stop there
+    rows = count_rows(monkeypatch, solver, "_newton_step", axis=-1)
+    _newton_batch(ellipse21, seed_grid(24), SolverOptions())
+    assert sum(rows) <= 50_000
+
+
+def test_circle_rows_avoid_pinv(unit_circle, monkeypatch):
+    # every circle Jacobian has rank 3 (rotating all four angles is a null
+    # direction); nearly all rows take the closed-form minimum-norm step
+    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
+    report = find_all(unit_circle)
+    assert report.parity == "withheld"
+    assert sum(rows) < 1_000
+
+
+def golden_curves() -> dict:
+    """Perturbed ellipses and perturbed circles in R^3, by name."""
+    ellipse = make_ellipse(2, 1)
+    curves = {f"p05-{s}": perturb(ellipse, 0.05, 5, seed=s) for s in range(1, 16)}
+    curves.update({f"p10-{s}": perturb(ellipse, 0.10, 6, seed=s) for s in range(1, 8)})
+    for s in range(1, 5):
+        rng = np.random.default_rng(s)
+        cos_c = np.zeros((3, 3))
+        sin_c = np.zeros((3, 3))
+        cos_c[0, 0] = sin_c[1, 0] = 1.0
+        cos_c += 0.15 * rng.uniform(-1, 1, size=(3, 3))
+        sin_c += 0.15 * rng.uniform(-1, 1, size=(3, 3))
+        curves[f"r3-{s}"] = Curve(np.zeros(3), cos_c, sin_c)
+    return curves
+
+
+#: default find_all class count and parity on ``golden_curves``, recorded
+#: with every seed iterated to the end: dropping seeds that leave the
+#: ordered component must not lose a class
+GOLDEN_CLASSES = {
+    **{f"p05-{s}": (1, "odd") for s in range(1, 16)},
+    **{f"p10-{s}": (1, "odd") for s in range(1, 8)},
+    "r3-1": (1, "odd"),
+    "r3-2": (1, "odd"),
+    "r3-3": (3, "odd"),
+    "r3-4": (1, "odd"),
+}
+
+
+def test_golden_class_sets():
+    curves = golden_curves()
+    assert sorted(curves) == sorted(GOLDEN_CLASSES)
+    for name, curve in curves.items():
+        report = find_all(curve)
+        assert (len(report.classes), report.parity) == GOLDEN_CLASSES[name], name
+        assert report.degeneracy_flags == [], name
 
 
 def test_quotient_dedup_cyclic_relabelings(ellipse21):
