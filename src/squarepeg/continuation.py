@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import TWO_PI
 from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
-from .solver import SolveReport, SolverOptions, class_distance, find_all
+from .solver import SolveReport, SolverOptions, _class_distances, find_all
 
 #: default sparse grid used for interior steps (endpoints use the full grid)
 FRESH_GRID = 12
@@ -176,7 +177,7 @@ def _match_classes(prev: SolveReport, cur: SolveReport):
         return list(b), []
     if not b:
         return [], list(a)
-    dist = np.array([[class_distance(x, y) for y in b] for x in a])
+    dist = _class_distances(np.mod(a, TWO_PI), np.mod(b, TWO_PI))
     rows, cols = linear_sum_assignment(dist)
     drifts = dist[rows, cols]
     threshold = max(10.0 * float(np.median(drifts)), 1e-9)

@@ -8,6 +8,7 @@ reported with a parity verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -71,12 +72,31 @@ _PAIR_IJ = np.concatenate([_PAIR_I, _PAIR_J])
 
 #: column pairs of the 2x2 minors
 _COL_PAIRS = list(itertools.combinations(range(4), 2))
-#: cofactor expansion for column i: each column k != i with the index of
-#: the column pair that i and k leave
-_EXPANSION = [
-    [(k, _COL_PAIRS.index(tuple(sorted({0, 1, 2, 3} - {i, k})))) for k in range(4) if k != i]
-    for i in range(4)
-]
+_MINOR_A, _MINOR_B = np.array(_COL_PAIRS).T
+#: cofactor expansion for column i: row i holds the columns k != i and the
+#: indices of the column pairs that i and k leave
+_EXPAND_COL, _EXPAND_PAIR = np.array(
+    [
+        [(k, _COL_PAIRS.index(tuple(sorted({0, 1, 2, 3} - {i, k})))) for k in range(4) if k != i]
+        for i in range(4)
+    ]
+).transpose(2, 0, 1)
+#: cofactor signs (-1)^(i + j), row j, column i
+_COFACTOR_SIGNS = (-1.0) ** (np.arange(4)[:, None] + np.arange(4))[..., None]
+
+#: Newton step fractions 2^-k, k = 0..10, grouped into the blocks that the
+#: line search evaluates in one kernel call each, shaped to broadcast
+#: against (rows, 4) steps
+_HALVING_BLOCKS = tuple(
+    np.ldexp(1.0, -np.array(ks))[:, None, None]
+    for ks in ((0,), (1,), (2, 3), (4, 5, 6, 7), (8, 9, 10))
+)
+
+#: row blocks of the pairwise class-distance matrix
+_DISTANCE_BLOCK_ROWS = 256
+
+#: row s indexes np.roll(tuple, s), for the four cyclic shifts at once
+_CYCLIC_SHIFTS = (np.arange(4) - np.arange(4)[:, None]) % 4
 
 _STATUS_CONVERGED = 0
 _STATUS_DIVERGED = 1
@@ -224,9 +244,15 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     Every cyclic class of distinct grid angles keeps at least its minimal
     rotation when the minimum lies below pi/2, which pre-quotients the cyclic
     relabeling approximately while Newton remains free to leave the region.
+    The rows are built once per ``n_per_axis`` and returned read-only.
     """
     if n_per_axis < 4:
         raise ValueError("n_per_axis must be >= 4")
+    return _seed_rows(n_per_axis)
+
+
+@functools.cache
+def _seed_rows(n_per_axis: int) -> np.ndarray:
     values = TWO_PI * np.arange(n_per_axis) / n_per_axis
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n_per_axis), 4)),
@@ -234,7 +260,9 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     ).reshape(-1, 4)
     # row t of the (4, 4) index table rotates a combination to start at slot t
     rotations = combos[:, (np.arange(4)[:, None] + np.arange(4)) % 4]
-    return values[rotations[values[combos] < np.pi / 2]]
+    rows = values[rotations[values[combos] < np.pi / 2]]
+    rows.flags.writeable = False
+    return rows
 
 
 def canonical_theta(thetas) -> np.ndarray:
@@ -251,8 +279,15 @@ def _canonical_batch(thetas: np.ndarray) -> np.ndarray:
 
 
 def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
-    rot = _canonical_batch(thetas)
-    return np.all(np.diff(rot, axis=1) > 0.0, axis=1)
+    """Rows whose canonical rotation is strictly increasing.
+
+    That holds iff three of the four cyclic differences of the reduced
+    angles are positive: the fourth is then negative, and the rotation
+    starting after it is the canonical one.  A nan difference is not
+    positive, so a nan row is not ordered.
+    """
+    th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
+    return np.count_nonzero(th[:, [1, 2, 3, 0]] - th > 0.0, axis=1) == 3
 
 
 def class_distance(t1, t2) -> float:
@@ -271,11 +306,16 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     """Damped Newton on all seeds at once.
 
     Returns (thetas, residual sup-norms, status array, singular-fallback flags).
-    The step comes from ``_newton_step``; damping halves it until the
-    residual norm decreases.  A seed stops when it converges, when no halved
-    step decreases the residual, or when its iterate leaves the ordered
-    component, which gives it ``_STATUS_LEFT_ORDERED``.  A seed is flagged
-    once any of its Jacobians fails the determinant regularity test.
+    The step comes from ``_newton_step``; damping takes the fraction 2^-k
+    of it for the smallest k <= 10 that decreases the residual norm.  The
+    fractions are tried in the blocks of ``_HALVING_BLOCKS``, one kernel
+    call per block for every row still searching, and a row takes the
+    smallest k of the first block in which one decreases the norm: the k
+    that halving one fraction at a time accepts.  A seed stops when it
+    converges, when no fraction decreases the residual, or when its iterate
+    leaves the ordered component, which gives it ``_STATUS_LEFT_ORDERED``.
+    A seed is flagged once any of its Jacobians fails the determinant
+    regularity test.
     """
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
@@ -291,24 +331,25 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         _, _, _, jac = _kernel(pts[idx], curve.diameter, _tangents_at(curve, thetas[idx]))
         step, regular = _newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
-        # halve the step until the residual norm drops; accepted trials
-        # overwrite their rows in place, points included
+        # accepted trials overwrite their rows in place, points included
         live = np.arange(len(idx))
-        for k in range(11):
+        for fractions in _HALVING_BLOCKS:
             if not live.size:
                 break
             rows = idx[live]
-            trial = np.mod(thetas[rows] + 0.5**k * step[live], TWO_PI)
+            trial = np.mod(thetas[rows] + fractions * step[live], TWO_PI).reshape(-1, 4)
             trial_pts = _points_at(curve, trial)
             trial_res, trial_norm, trial_sep, _ = _kernel(trial_pts, curve.diameter)
-            better = trial_norm < norms[rows]
-            hit = rows[better]
-            thetas[hit] = trial[better]
-            pts[hit] = trial_pts[better]
-            res[hit] = trial_res[better]
-            norms[hit] = trial_norm[better]
-            min_sep[hit] = trial_sep[better]
-            live = live[~better]
+            better = trial_norm.reshape(len(fractions), -1) < norms[rows]
+            hit = better.any(axis=0)
+            pick = better.argmax(axis=0)[hit] * len(rows) + np.flatnonzero(hit)
+            done = rows[hit]
+            thetas[done] = trial[pick]
+            pts[done] = trial_pts[pick]
+            res[done] = trial_res[pick]
+            norms[done] = trial_norm[pick]
+            min_sep[done] = trial_sep[pick]
+            live = live[~hit]
         improved = np.ones(len(idx), dtype=bool)
         improved[live] = False
         converged[idx] = norms[idx] < opts.tol_residual
@@ -330,18 +371,17 @@ def _cofactors(jac: np.ndarray):
     C[j, i] expands the 3x3 left by row j and column i along the other row
     of j's pair, which sits first or last of the three and so adds no sign,
     against the minors of the other pair; det is row 0 against its
-    cofactors.  Every operation runs on whole rows of length m.
+    cofactors.  Each row of cofactors takes one product of gathered (4, 3, m)
+    expansion terms, so every operation runs on whole rows of length m.
     """
     minors = [
-        [top[a] * bottom[b] - top[b] * bottom[a] for a, b in _COL_PAIRS]
+        top[_MINOR_A] * bottom[_MINOR_B] - top[_MINOR_B] * bottom[_MINOR_A]
         for top, bottom in (jac[:2], jac[2:])
     ]
     cof = np.empty_like(jac)
-    for j, i in itertools.product(range(4), range(4)):
-        row, mins = jac[j ^ 1], minors[1 - j // 2]
-        (k0, p0), (k1, p1), (k2, p2) = _EXPANSION[i]
-        term = row[k0] * mins[p0] - row[k1] * mins[p1] + row[k2] * mins[p2]
-        np.multiply(term, (-1.0) ** (i + j), out=cof[j, i])
+    for j in range(4):
+        terms = jac[j ^ 1][_EXPAND_COL] * minors[1 - j // 2][_EXPAND_PAIR]
+        np.multiply(terms[:, 0] - terms[:, 1] + terms[:, 2], _COFACTOR_SIGNS[j], out=cof[j])
     return cof, np.einsum("im,im->m", jac[0], cof[0])
 
 
@@ -472,77 +512,63 @@ def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> So
 # cyclic quotient dedup
 
 
-def _cluster_thetas(thetas, radius: float) -> list:
-    """Single-linkage clusters under ``class_distance``; returns index lists.
+def _class_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of ``class_distance`` between reduced (n, 4) and (m, 4) tuples.
+
+    The four cyclic shifts of ``b`` are compared with ``a`` at once, with
+    the arithmetic of ``class_distance``, so each entry equals it bit for
+    bit when the angles are already reduced mod 2pi.
+    """
+    diff = np.abs(a[:, None, None, :] - b[:, _CYCLIC_SHIFTS]) % TWO_PI
+    return np.minimum(diff, TWO_PI - diff).max(axis=-1).min(axis=-1)
+
+
+def _linked(a: np.ndarray, b: np.ndarray, radius: float):
+    """Index pairs (i, j) with ``class_distance(a[i], b[j]) <= radius``.
+
+    The distance matrix is built ``_DISTANCE_BLOCK_ROWS`` rows of ``a`` at a
+    time, so memory stays linear in ``len(b)``.
+    """
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for lo in range(0, len(a), _DISTANCE_BLOCK_ROWS):
+        near = _class_distances(a[lo : lo + _DISTANCE_BLOCK_ROWS], b) <= radius
+        i, j = np.nonzero(near)
+        pairs.append(np.stack([i + lo, j]))
+    return np.concatenate(pairs, axis=1)
+
+
+def _cluster_labels(canon: np.ndarray, radius: float) -> np.ndarray:
+    """Single-linkage class labels of canonical (n, 4) tuples under ``class_distance``.
 
     Tuples are first collapsed into quantization buckets of width radius/4
-    (identical roots found from many seeds land in the same bucket), then the
-    bucket representatives are swept in sorted order of the first angle of
-    each cyclic rotation, so near-zero angles that wrap past 2pi still land
-    in the same cluster.
+    (identical roots found from many seeds land in the same bucket), each
+    owned by its first tuple.  Owners within ``radius`` of each other are
+    linked, and each owner takes the smallest owner index of its connected
+    component, by min-label propagation with pointer jumping.
     """
-    arr = np.asarray(thetas, dtype=float).reshape(-1, 4)
-    n = arr.shape[0]
-    if n == 0:
-        return []
-    parent = list(range(n))
+    keys = (canon / (radius / 4.0)).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    owners = canon[first]
+    src, dst = _linked(owners, owners, radius)
+    labels = np.arange(len(owners))
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, src, labels[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels[inverse.reshape(-1)]
+        labels = hooked
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+def _representatives(canon: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Index of the lexicographically smallest tuple of each class.
 
-    canon = _canonical_batch(arr)
-    q = radius / 4.0
-    buckets = {}
-    for i in range(n):
-        key = tuple((canon[i] / q).astype(np.int64))
-        other = buckets.setdefault(key, i)
-        if other != i:
-            union(other, i)
-    rep_ids = sorted(set(buckets.values()))
-
-    entries = []
-    for owner in rep_ids:
-        for s in range(4):
-            rot = tuple(np.roll(canon[owner], -s))
-            entries.append((rot[0], rot, owner))
-    entries.sort(key=lambda e: e[0])
-
-    def circ_sup(a, b):
-        worst = 0.0
-        for x, y in zip(a, b):
-            d = abs(x - y) % TWO_PI
-            d = min(d, TWO_PI - d)
-            worst = max(worst, d)
-        return worst
-
-    window = radius + 4.0 * q
-    for i, (first, rot, owner) in enumerate(entries):
-        j = i - 1
-        while j >= 0 and first - entries[j][0] <= window:
-            other = entries[j][2]
-            if find(owner) != find(other) and circ_sup(rot, entries[j][1]) <= radius:
-                union(owner, other)
-            j -= 1
-    # wrap-around window: first angles near 0 vs near 2pi
-    head = [e for e in entries if e[0] <= window]
-    tail = [e for e in entries if e[0] >= TWO_PI - window]
-    for _, rot_a, owner_a in head:
-        for _, rot_b, owner_b in tail:
-            if find(owner_a) != find(owner_b) and circ_sup(rot_a, rot_b) <= radius:
-                union(owner_a, owner_b)
-
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+    Among equal tuples the first index wins, as ``np.lexsort`` is stable.
+    """
+    order = np.lexsort((*canon.T[::-1], labels))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = labels[order[1:]] != labels[order[:-1]]
+    return order[first]
 
 
 def quotient_dedup(solutions: list, radius: float = 1e-6) -> list:
@@ -558,8 +584,7 @@ def quotient_dedup(solutions: list, radius: float = 1e-6) -> list:
         return []
     canon = _canonical_batch(np.array([s.theta for s in solutions]))
     reps = []
-    for members in _cluster_thetas(canon, radius):
-        best = min(members, key=lambda i: tuple(canon[i]))
+    for best in _representatives(canon, _cluster_labels(canon, radius)):
         sol = solutions[best]
         if not np.array_equal(sol.theta, canon[best]):
             sol = replace(sol, theta=canon[best])
@@ -595,12 +620,9 @@ def find_all(
     if np.any(status == _STATUS_NEAR_BOUNDARY):
         flags.append("NearBoundary")
 
-    good = thetas[status == _STATUS_CONVERGED]
-    canon = _canonical_batch(good) if good.size else np.empty((0, 4))
-    classes = []
-    for members in _cluster_thetas(canon, opts.dedup_radius):
-        rep_theta = min((canon[i] for i in members), key=tuple)
-        classes.append(_make_solution(curve, rep_theta, opts))
+    canon = _canonical_batch(thetas[status == _STATUS_CONVERGED])
+    labels = _cluster_labels(canon, opts.dedup_radius)
+    classes = [_make_solution(curve, canon[i], opts) for i in _representatives(canon, labels)]
     classes.sort(key=lambda s: tuple(s.theta))
 
     all_transverse = all(s.transverse for s in classes)
@@ -622,20 +644,6 @@ def find_all(
 
 def _continuum_suspected(classes: list, opts: SolverOptions) -> bool:
     """Two non-transverse classes closer than 1000x the dedup radius."""
-    window = 1e3 * opts.dedup_radius
-    suspects = [s for s in classes if not s.transverse]
-    suspects.sort(key=lambda s: float(s.theta[0]))
-    for i, a in enumerate(suspects):
-        for b in suspects[i + 1 :]:
-            if float(b.theta[0]) - float(a.theta[0]) > window:
-                break
-            if class_distance(a.theta, b.theta) <= window:
-                return True
-    # wrap-around pairs
-    lo = [s for s in suspects if float(s.theta[0]) <= window]
-    hi = [s for s in suspects if float(s.theta[0]) >= TWO_PI - window]
-    for a in lo:
-        for b in hi:
-            if class_distance(a.theta, b.theta) <= window:
-                return True
-    return False
+    suspects = np.mod([s.theta for s in classes if not s.transverse], TWO_PI).reshape(-1, 4)
+    i, j = _linked(suspects, suspects, 1e3 * opts.dedup_radius)
+    return bool(np.any(i != j))

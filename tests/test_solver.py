@@ -378,6 +378,32 @@ def test_newton_batch_work_on_ellipse(ellipse21, monkeypatch):
     assert sum(rows) <= 50_000
 
 
+def test_line_search_makes_at_most_five_trial_calls_per_iteration(ellipse21, monkeypatch):
+    # each Newton iteration takes one kernel call with tangents, then tries
+    # its step fractions in at most five blocks of one call each
+    calls = []
+    inner = solver._kernel
+
+    def counting(pts, diameter, tan=None):
+        calls.append("J" if tan is not None else "r")
+        return inner(pts, diameter, tan)
+
+    monkeypatch.setattr(solver, "_kernel", counting)
+    report = find_all(ellipse21)
+    runs = "".join(calls).split("J")
+    assert len(report.classes) == 1
+    assert len(runs) > 10
+    assert max(len(r) for r in runs) <= 5
+
+
+def test_seed_grid_rows_are_shared_and_read_only():
+    seeds = seed_grid(12)
+    assert seed_grid(12) is seeds
+    with pytest.raises(ValueError):
+        seeds[0, 0] = 1.0
+    assert np.array_equal(seeds, _seed_grid_reference(12))
+
+
 def test_circle_rows_avoid_pinv(unit_circle, monkeypatch):
     # every circle Jacobian has rank 3 (rotating all four angles is a null
     # direction); nearly all rows take the closed-form minimum-norm step
@@ -548,12 +574,13 @@ def test_continuum_suspected_flag(unit_circle):
 def test_find_does_not_import_scipy_optimize():
     # scipy.optimize dominates the package's import time; only continuation
     # needs it (and scipy.spatial, for the embedding check), so importing
-    # the package and solving must load neither
+    # the package and solving must load neither, nor scipy.sparse, which
+    # clustering does without
     code = (
         "import sys\n"
         "import squarepeg\n"
         "squarepeg.find_all(squarepeg.make_ellipse(2, 1), squarepeg.SolverOptions(grid=8))\n"
-        "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)\n"
+        "print(*(f'scipy.{m}' in sys.modules for m in ('optimize', 'spatial', 'sparse')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
@@ -564,4 +591,4 @@ def test_find_does_not_import_scipy_optimize():
         timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"

@@ -1,0 +1,225 @@
+"""The solver's whole-array bookkeeping against plain reference implementations.
+
+Each reference is the straightforward form of the rule: a canonical
+rotation tested for order, single linkage from a ``class_distance`` double
+loop and a union-find, and Newton damping that halves the step one
+fraction at a time.  The solver must agree with them exactly.
+"""
+
+import numpy as np
+import pytest
+
+from squarepeg import SolverOptions, class_distance, make_ellipse, perturb, seed_grid
+from squarepeg import solver
+from squarepeg.solver import (
+    _STATUS_CONVERGED,
+    _STATUS_DIVERGED,
+    _STATUS_LEFT_ORDERED,
+    _STATUS_NEAR_BOUNDARY,
+    _canonical_batch,
+    _class_distances,
+    _cluster_labels,
+    _newton_batch,
+    _ordered_batch,
+    _representatives,
+)
+
+TWO_PI = 2 * np.pi
+
+
+def ordered_reference(thetas):
+    """Rows whose canonical rotation (smallest angle first) strictly increases."""
+    return np.all(np.diff(_canonical_batch(thetas), axis=1) > 0, axis=1)
+
+
+def test_ordered_batch_matches_canonical_rotation_rule():
+    rng = np.random.default_rng(51)
+    n = 40_000
+    spread = rng.uniform(-4 * np.pi, 6 * np.pi, size=(n, 4))
+    # few distinct values give many ties, exact and mod 2pi
+    ties = rng.choice(np.arange(-8, 17) * np.pi / 4, size=(n, 4))
+    near = np.sort(rng.uniform(0, TWO_PI, size=(n, 4)), axis=1)
+    near[::2, 2] = near[::2, 1] + rng.choice([0.0, 1e-300, -1e-15], size=n // 2)
+    near += rng.choice([-TWO_PI, 0.0, TWO_PI], size=(n, 1))
+    special = np.array(
+        [
+            [0.0, 1.0, 2.0, 3.0],
+            [TWO_PI, 1.0, 2.0, 3.0],
+            [-0.0, 1.0, 2.0, TWO_PI - 1e-16],
+            [1.0, 1.0, 1.0, 1.0],
+            [np.nan, 1.0, 2.0, 3.0],
+            [0.0, 1.0, np.inf, 3.0],
+        ]
+    )
+    thetas = np.concatenate([spread, ties, near, special])
+    with np.errstate(invalid="ignore"):  # inf mod 2pi is nan
+        got, expected = _ordered_batch(thetas), ordered_reference(thetas)
+    assert len(thetas) >= 100_000
+    assert np.array_equal(got, expected)
+    assert 0.05 < got.mean() < 0.95
+
+
+def test_class_distance_matrix_matches_class_distance():
+    rng = np.random.default_rng(52)
+    a = np.mod(rng.uniform(-1, 7, size=(30, 4)), TWO_PI)
+    a[:3, 0] = [0.0, 1e-12, TWO_PI - 1e-12]
+    # near copies of rows of a, relabeled, and unrelated tuples
+    near = np.roll(a[:10] + rng.uniform(-1e-9, 1e-9, size=(10, 4)), 1, axis=1)
+    b = np.mod(np.concatenate([near, rng.uniform(-1, 7, size=(20, 4))]), TWO_PI)
+    expected = np.array([[class_distance(x, y) for y in b] for x in a])
+    assert np.array_equal(_class_distances(a, b), expected)
+
+
+def single_linkage_reference(canon, radius):
+    """Classes as frozensets of row indices: union-find over every pair of
+    rows with ``class_distance`` <= radius."""
+    parent = list(range(len(canon)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(canon)):
+        for j in range(i):
+            if class_distance(canon[i], canon[j]) <= radius:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i in range(len(canon)):
+        classes.setdefault(find(i), set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+def partition(labels):
+    classes = {}
+    for i, lab in enumerate(labels):
+        classes.setdefault(int(lab), set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+def jittered_roots(rng, centres, copies, jitter):
+    """``copies`` perturbed copies of each centre, some exact duplicates and
+    some cyclically relabeled, shuffled."""
+    rows = []
+    for c in centres:
+        for k in range(copies):
+            th = c + (0.0 if k % 3 == 0 else rng.uniform(-jitter, jitter, size=4))
+            rows.append(np.roll(th, k % 4))
+    rows = np.array(rows)
+    return rows[rng.permutation(len(rows))]
+
+
+def check_clusters(thetas, radius):
+    canon = _canonical_batch(thetas)
+    labels = _cluster_labels(canon, radius)
+    expected = single_linkage_reference(canon, radius)
+    assert partition(labels) == expected
+    reps = _representatives(canon, labels)
+    assert len(reps) == len(expected)
+    for cls in expected:
+        (rep,) = [r for r in reps if r in cls]
+        assert tuple(canon[rep]) == min(tuple(canon[i]) for i in cls)
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_labels_match_single_linkage_on_random_roots(seed):
+    # clusters 1e-3 r wide and far apart, so linking bucket owners instead of
+    # every row cannot change the partition
+    rng = np.random.default_rng(60 + seed)
+    radius = 1e-6
+    centres = np.sort(rng.uniform(0, TWO_PI, size=(12, 4)), axis=1)
+    thetas = jittered_roots(rng, centres, copies=7, jitter=1e-3 * radius)
+    assert len(check_clusters(thetas, radius)) == 12
+
+
+def test_cluster_labels_join_pair_split_across_zero():
+    radius = 1e-6
+    thetas = np.array(
+        [
+            [1e-10, 1.0, 2.0, 3.0],
+            [TWO_PI - 1e-10, 1.0 - 2e-10, 2.0 - 2e-10, 3.0 - 2e-10],
+            [0.5, 1.5, 2.5, 3.5],
+        ]
+    )
+    assert len(check_clusters(thetas, radius)) == 2
+
+
+def test_cluster_labels_chain_links_ends_farther_than_radius():
+    radius = 1e-6
+    base = np.array([0.3, 1.4, 2.9, 4.4])
+    step = np.array([0.9, 0.0, -0.5, 0.2]) * radius
+    chain = base + np.arange(6)[:, None] * step
+    assert class_distance(chain[0], chain[2]) > radius
+    far = base + 5.0
+    thetas = np.concatenate([chain, chain[::2], [far], [far]])
+    classes = check_clusters(thetas[::-1], radius)
+    assert sorted(len(c) for c in classes) == [2, 9]
+
+
+def test_cluster_labels_empty():
+    canon = np.empty((0, 4))
+    labels = _cluster_labels(canon, 1e-6)
+    assert labels.shape == (0,)
+    assert _representatives(canon, labels).shape == (0,)
+
+
+def newton_batch_reference(curve, seeds, opts):
+    """``_newton_batch`` with the damping fractions 2^-k tried one at a time."""
+    thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
+    m = thetas.shape[0]
+    pts = solver._points_at(curve, thetas)
+    res, norms, min_sep, _ = solver._kernel(pts, curve.diameter)
+    converged = norms < opts.tol_residual
+    active = np.ones(m, dtype=bool)
+    used_singular = np.zeros(m, dtype=bool)
+    for _ in range(opts.max_iters):
+        idx = np.flatnonzero(active & ~converged)
+        if not idx.size:
+            break
+        tan = solver._tangents_at(curve, thetas[idx])
+        _, _, _, jac = solver._kernel(pts[idx], curve.diameter, tan)
+        step, regular = solver._newton_step(jac, res[idx].T)
+        used_singular[idx[~regular]] = True
+        live = np.arange(len(idx))
+        for k in range(11):
+            if not live.size:
+                break
+            rows = idx[live]
+            trial = np.mod(thetas[rows] + 0.5**k * step[live], TWO_PI)
+            trial_pts = solver._points_at(curve, trial)
+            trial_res, trial_norm, trial_sep, _ = solver._kernel(trial_pts, curve.diameter)
+            better = trial_norm < norms[rows]
+            hit = rows[better]
+            thetas[hit] = trial[better]
+            pts[hit] = trial_pts[better]
+            res[hit] = trial_res[better]
+            norms[hit] = trial_norm[better]
+            min_sep[hit] = trial_sep[better]
+            live = live[~better]
+        improved = np.ones(len(idx), dtype=bool)
+        improved[live] = False
+        converged[idx] = norms[idx] < opts.tol_residual
+        active[idx] = improved & ordered_reference(thetas[idx])
+    status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
+    status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
+    status[~ordered_reference(thetas)] = _STATUS_LEFT_ORDERED
+    return thetas, norms, status, used_singular
+
+
+@pytest.mark.parametrize("name", ["ellipse", "three-lobe", "wiggly8", "circle"])
+def test_newton_batch_matches_sequential_halving(name, three_lobe):
+    ellipse = make_ellipse(2, 1)
+    curve = {
+        "ellipse": ellipse,
+        "three-lobe": three_lobe,
+        "wiggly8": perturb(ellipse, 0.12, 8, seed=3),
+        "circle": make_ellipse(1, 1),
+    }[name]
+    opts = SolverOptions()
+    got = _newton_batch(curve, seed_grid(opts.grid), opts)
+    expected = newton_batch_reference(curve, seed_grid(opts.grid), opts)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.count_nonzero(got[2] == _STATUS_CONVERGED) > 0
