@@ -235,7 +235,9 @@ def _cmd_strata(args) -> int:
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("--grid", type=int, default=24, help="seed grid per axis")
+    parser.add_argument(
+        "--grid", type=int, default=24, help="lattice size: curve samples scanned for seeds"
+    )
     parser.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
     parser.add_argument("--dedup-eps", type=float, default=1e-6, help="dedup radius")
     parser.add_argument(

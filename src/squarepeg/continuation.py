@@ -1,9 +1,10 @@
 """Tracks inscribed square-like quadrilaterals along a family of curves.
 
 The family is the straight line between two coefficient sets.  Each step
-re-solves seeded by the previous step's classes plus a sparse fresh grid,
-matches classes between steps, and records birth/death events; transverse
-steps must keep the class-count parity constant.
+re-solves seeded by the previous step's classes plus a fresh scan of a
+coarser lattice and the short-arc windows, matches classes between steps,
+and records birth/death events; transverse steps must keep the class-count
+parity constant.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
 from .solver import SolveReport, SolverOptions, _class_distances, find_all
 
-#: default sparse grid used for interior steps (endpoints use the full grid)
-FRESH_GRID = 12
+#: default lattice size of interior steps (endpoints use ``opts.grid``); a
+#: 12-lattice loses one of the pair born on the ellipse -> three-lobe path
+FRESH_GRID = 20
 
 #: refined event intervals stop at this width in t
 EVENT_T_TOL = 1e-4
@@ -84,8 +86,9 @@ def track(
 ) -> ContinuationTrace:
     """Follow the solution classes of (1-t) c0 + t c1 for t in [0, 1].
 
-    Endpoints are solved on the full grid in ``opts``; interior steps reuse
-    the previous step's classes as seeds plus a ``fresh_grid`` scan.  Raises
+    Endpoints are solved at the lattice size ``opts.grid``; interior steps
+    reuse the previous step's classes as seeds plus a scan at lattice size
+    ``fresh_grid``, with the same short-arc windows.  Raises
     ``RegularityLost`` if any intermediate curve fails the regularity or
     embedding check, and ``NonTransversePath`` if a step withholds parity
     even after one retry at a shifted parameter.

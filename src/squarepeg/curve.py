@@ -79,24 +79,27 @@ class Curve:
         return self._diameter
 
     def eval(self, theta) -> np.ndarray:
-        """Evaluate the curve; scalar theta -> (k,), array (n,) -> (n, k)."""
+        """Evaluate the curve; theta of any shape -> theta.shape + (k,)."""
         c, s = self._harmonics(theta)
-        return self.a0 + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
+        out = self.a0 + c @ self.cos_coeffs.T + s @ self.sin_coeffs.T
+        return out.reshape(np.shape(theta) + (self.dim,))
 
     def deriv(self, theta) -> np.ndarray:
         """Exact derivative of the Fourier series, same shapes as ``eval``."""
         c, s = self._harmonics(theta)
         h = np.arange(1, self.harmonics + 1)
-        return c @ (h * self.sin_coeffs).T - s @ (h * self.cos_coeffs).T
+        out = c @ (h * self.sin_coeffs).T - s @ (h * self.cos_coeffs).T
+        return out.reshape(np.shape(theta) + (self.dim,))
 
     def _harmonics(self, theta):
-        """cos(h theta) and sin(h theta) for h = 1..H, each theta.shape + (H,).
+        """cos(h theta) and sin(h theta) for h = 1..H, each (theta.size, H).
 
         One cos and one sin per angle; higher harmonics follow by angle
         addition, whose rounding error grows only like h * eps.  The tables
-        are filled harmonic-major, so each step writes one contiguous row.
+        are filled harmonic-major, so each step writes one contiguous row,
+        and returned as transposed views.
         """
-        theta = np.asarray(theta, dtype=float)
+        theta = np.asarray(theta, dtype=float).ravel()
         c = np.empty((self.harmonics,) + theta.shape)
         s = np.empty_like(c)
         c1 = c[0] = np.cos(theta)
@@ -104,7 +107,7 @@ class Curve:
         for h in range(1, self.harmonics):
             c[h] = c[h - 1] * c1 - s[h - 1] * s1
             s[h] = s[h - 1] * c1 + c[h - 1] * s1
-        return np.moveaxis(c, 0, -1), np.moveaxis(s, 0, -1)
+        return c.T, s.T
 
     def to_json_dict(self) -> dict:
         coords = []

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import TWO_PI
 from .curve import Curve
-from .solver import SolveReport, SolverOptions
+from .solver import SIZE_FLOOR, SolveReport, SolverOptions
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628")
 
@@ -42,6 +42,7 @@ def report_to_dict(
     return {
         "curve_hash": curve_hash(curve),
         "options": opts.to_dict(),
+        "size_floor": SIZE_FLOOR,
         "classes": classes,
         "labeled_count": report.labeled_count,
         "parity": report.parity,

@@ -1,7 +1,9 @@
 """Finds inscribed square-like quadrilaterals by damped Newton on the 4-torus.
 
 The residual G(theta) = g(gamma(theta_1..4)) - (1,1,1,0) is driven to zero
-from a grid of ordered seeds.  Converged roots are certified by the 4x4
+from ordered seeds at the discrete local minima of its sup-norm, on a lattice
+of equally spaced curve samples and on short arcs sampled for squares down
+to ``SIZE_FLOOR``.  Converged roots are certified by the 4x4
 reduced Jacobian determinant, deduplicated up to cyclic relabeling, and
 reported with a parity verdict.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,6 +94,20 @@ _HALVING_BLOCKS = tuple(
     np.ldexp(1.0, -np.array(ks))[:, None, None]
     for ks in ((0,), (1,), (2, 3), (4, 5, 6, 7), (8, 9, 10))
 )
+
+#: delta: the smallest vertex separation, over the curve diameter, of the
+#: squares that the short-arc windows are meant to resolve
+SIZE_FLOOR = 0.005
+
+#: the windows: ``WINDOW_ARCS`` arcs [c, c + WINDOW_WIDTH) with equally
+#: spaced starts c, each sampled at ``WINDOW_SAMPLES`` equally spaced angles
+WINDOW_ARCS = 128
+WINDOW_WIDTH = 0.5
+WINDOW_SAMPLES = 14
+
+#: a discrete local minimum, on the lattice or on a window, seeds Newton
+#: when its residual sup-norm is below this
+SEED_NORM = 0.75
 
 #: row blocks of the pairwise class-distance matrix
 _DISTANCE_BLOCK_ROWS = 256
@@ -251,18 +268,136 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     return _seed_rows(n_per_axis)
 
 
+def _combinations(n: int) -> np.ndarray:
+    """(C(n, 4), 4) strictly increasing index tuples in lexicographic order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), 4)), dtype=np.intp
+    ).reshape(-1, 4)
+
+
 @functools.cache
 def _seed_rows(n_per_axis: int) -> np.ndarray:
     values = TWO_PI * np.arange(n_per_axis) / n_per_axis
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_per_axis), 4)),
-        dtype=np.intp,
-    ).reshape(-1, 4)
+    combos = _combinations(n_per_axis)
     # row t of the (4, 4) index table rotates a combination to start at slot t
     rotations = combos[:, (np.arange(4)[:, None] + np.arange(4)) % 4]
     rows = values[rotations[values[combos] < np.pi / 2]]
     rows.flags.writeable = False
     return rows
+
+
+@functools.cache
+def _index_tables(n: int):
+    """Sorted index 4-tuples of n samples and their +-1 neighbours.
+
+    Row r of the (C(n, 4), 4) tuple table is the combination (a, b, c, d)
+    of colex rank r = C(a, 1) + C(b, 2) + C(c, 3) + C(d, 4).  Row r of the
+    (C(n, 4), 8) neighbour table holds the ranks of the tuples that move
+    one index of row r by +1 or -1, or C(n, 4) where the move leaves the
+    strictly increasing tuples of 0..n-1.  Both are built once per n and
+    returned read-only; no n^4 array is formed.
+    """
+    combos = _combinations(n)
+    # binom[x, p] = C(x, p + 1), the rank term of index x in slot p
+    binom = np.array([[math.comb(x, k) for k in range(1, 5)] for x in range(n + 1)], dtype=np.intp)
+    slots = np.arange(4)
+    count = len(combos)
+    tuples = np.empty_like(combos)
+    tuples[binom[combos, slots].sum(axis=1)] = combos
+    rank = np.arange(count)[:, None] - binom[tuples, slots]
+    # a moved index must stay strictly between its neighbours in the tuple
+    below = np.hstack([np.full((count, 1), -1), tuples[:, :3]])
+    above = np.hstack([tuples[:, 1:], np.full((count, 1), n)])
+    neighbours = np.hstack(
+        [
+            np.where(tuples + 1 < above, rank + binom[tuples + 1, slots], count),
+            np.where(tuples - 1 > below, rank + binom[tuples - 1, slots], count),
+        ]
+    )
+    for table in (tuples, neighbours):
+        table.flags.writeable = False
+    return tuples, neighbours
+
+
+def _lattice_minima(sq: np.ndarray, threshold: float):
+    """Discrete local minima of the residual sup-norm over sorted index 4-tuples.
+
+    ``sq`` is an (n, n, b) stack of squared-distance tables, one per set of
+    n curve samples, batch-last.  A tuple is a minimum when its norm is at
+    most that of each of its +-1 neighbours in ``_index_tables``; a
+    neighbour outside the strictly increasing tuples does not count.
+    Returns the rows of the tuple table and the table indices of the minima
+    with norm below ``threshold``.
+
+    The first two residual components, s01 / s03 - 1 and s12 / s01 - 1,
+    are formed for every tuple; only the few where both are below the
+    threshold can be minima.  The full norm is formed for those, then once
+    for each distinct neighbour of the ones that pass, so every comparison
+    sees the same bits.
+    """
+    n = sq.shape[0]
+    tuples, neighbours = _index_tables(n)
+    # row p holds the table row of pair p of each tuple
+    pair_rows = tuples[:, _PAIR_I].T * n + tuples[:, _PAIR_J].T
+    table = sq.reshape(n * n, -1)
+    width = table.shape[1]
+
+    def norms(ids):
+        rows, cols = np.divmod(ids, width)
+        nd = _NUM_DEN @ table.ravel()[pair_rows[:, rows] * width + cols]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.abs(nd[:4] / nd[4:] - G_TARGET[:, None]).max(axis=0)
+
+    s01, s03, s12 = table[pair_rows[:3]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.abs(s01 / s03 - G_TARGET[0]) < threshold
+        near &= np.abs(s12 / s01 - G_TARGET[1]) < threshold
+    ids = np.flatnonzero(near)
+    ids = ids[norms(ids) < threshold]
+    rows, cols = np.divmod(ids, width)
+    nbr = neighbours[rows]
+    inside = nbr < len(tuples)
+    nbr_ids = (nbr * width + cols[:, None])[inside]
+    distinct, where = np.unique(np.concatenate([ids, nbr_ids]), return_inverse=True)
+    values = norms(distinct)
+    nbr_norms = np.full(nbr.shape, np.inf)
+    nbr_norms[inside] = values[where[len(ids) :]]
+    keep = np.all(values[where[: len(ids)], None] <= nbr_norms, axis=1)
+    return rows[keep], cols[keep]
+
+
+def _squared_distances(pts: np.ndarray) -> np.ndarray:
+    """(n, ..., k) points -> (n, n, ...) table of their squared distances."""
+    diff = pts[:, None] - pts[None, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
+    """Seeds at the residual's discrete minima on the n-lattice and on the windows.
+
+    The lattice takes n equally spaced curve samples.  Sorted index tuples
+    cut the circle at the first sample: the tuples near a root whose
+    vertices straddle the cut lie on both sides of it and are not
+    neighbours, which can hide the root's minimum.  So the lattice is
+    scanned twice, with the samples numbered from angle 0 and from angle pi.
+    Each of the ``WINDOW_ARCS`` windows samples one short arc, so that
+    squares too small for the lattice to resolve still sit at a minimum of
+    some window's tuples.  The two numberings are scanned in one batch of
+    tables, and all the windows in another.
+    """
+    values = TWO_PI * np.arange(n) / n
+    numberings = np.stack([values, np.roll(values, -(n // 2))], axis=-1)
+    rows, seams = _lattice_minima(_squared_distances(curve.eval(numberings)), SEED_NORM)
+    angles = WINDOW_WIDTH * np.arange(WINDOW_SAMPLES)[:, None] / WINDOW_SAMPLES + (
+        TWO_PI * np.arange(WINDOW_ARCS) / WINDOW_ARCS
+    )
+    arc_rows, arcs = _lattice_minima(_squared_distances(curve.eval(angles)), SEED_NORM)
+    return np.vstack(
+        [
+            numberings[_index_tables(n)[0][rows], seams[:, None]],
+            angles[_index_tables(WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]],
+        ]
+    )
 
 
 def canonical_theta(thetas) -> np.ndarray:
@@ -602,14 +737,16 @@ def find_all(
     opts: SolverOptions | None = None,
     extra_seeds=None,
 ) -> SolveReport:
-    """Search the full seed grid and report cyclic classes with parity.
+    """Search the lattice and window minima and report cyclic classes with parity.
 
-    ``extra_seeds`` augments the grid (continuation feeds the previous
-    step's solutions through here).  The report never raises on degeneracy;
-    it carries flags instead.
+    Newton starts from the discrete residual minima of ``_scan_seeds`` on
+    the ``opts.grid``-sample lattice and the short-arc windows.
+    ``extra_seeds`` augments them (continuation feeds the previous step's
+    solutions through here).  The report never raises on degeneracy; it
+    carries flags instead.
     """
     opts = opts or SolverOptions()
-    seeds = seed_grid(opts.grid)
+    seeds = _scan_seeds(curve, opts.grid)
     if extra_seeds is not None:
         extra = np.asarray(extra_seeds, dtype=float).reshape(-1, 4)
         if extra.size:

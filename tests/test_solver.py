@@ -35,7 +35,14 @@ from squarepeg.errors import (
 )
 from squarepeg import solver
 from squarepeg.slq import G_TARGET
-from squarepeg.solver import _STATUS_LEFT_ORDERED, _newton_batch, _newton_step
+from squarepeg.solver import (
+    _STATUS_CONVERGED,
+    _STATUS_LEFT_ORDERED,
+    _canonical_batch,
+    _cluster_labels,
+    _newton_batch,
+    _newton_step,
+)
 
 from conftest import random_smooth_curve
 
@@ -389,9 +396,11 @@ def test_line_search_makes_at_most_five_trial_calls_per_iteration(ellipse21, mon
         return inner(pts, diameter, tan)
 
     monkeypatch.setattr(solver, "_kernel", counting)
-    report = find_all(ellipse21)
+    # the full seed grid, so that many iterations run
+    thetas, _, status, _ = _newton_batch(ellipse21, seed_grid(24), SolverOptions())
     runs = "".join(calls).split("J")
-    assert len(report.classes) == 1
+    canon = _canonical_batch(thetas[status == _STATUS_CONVERGED])
+    assert len(np.unique(_cluster_labels(canon, 1e-6))) == 1
     assert len(runs) > 10
     assert max(len(r) for r in runs) <= 5
 
@@ -561,6 +570,53 @@ def test_find_all_extra_seeds(ellipse21):
         ellipse21, SolverOptions(grid=4), extra_seeds=[ellipse_square_angles(2, 1)]
     )
     assert len(report.classes) == 1
+
+
+def wiggly8() -> Curve:
+    return perturb(make_ellipse(2, 1), 0.12, 8, seed=3)
+
+
+def trefoil() -> Curve:
+    """(sin t + 2 sin 2t, cos t - 2 cos 2t, -sin 3t)."""
+    return Curve([0, 0, 0], [[0, 0, 0], [1, -2, 0], [0, 0, 0]], [[1, 2, 0], [0, 0, 0], [0, 0, -1]])
+
+
+def test_find_all_wiggly8_finds_its_small_classes():
+    # two of the three classes have minimum vertex separations of 0.0122 and
+    # 0.0068 of the diameter, inside two small loops of this perturbation;
+    # the lattice alone does not resolve them, the windows do
+    report = find_all(wiggly8())
+    assert len(report.classes) == 3
+    assert report.all_transverse
+    assert report.parity == "odd"
+    assert min(s.min_separation for s in report.classes) < 0.01
+
+
+def phase_shifted(curve: Curve, shift: float) -> Curve:
+    """The curve theta -> gamma(theta + shift)."""
+    h = np.arange(1, curve.harmonics + 1) * shift
+    a, b = curve.cos_coeffs, curve.sin_coeffs
+    return Curve(curve.a0, a * np.cos(h) + b * np.sin(h), b * np.cos(h) - a * np.sin(h))
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("trefoil", (15, "odd")), ("wiggly8", (3, "odd")), ("three-lobe", (3, "odd"))],
+)
+def test_class_count_invariant_under_reparametrisation_and_scaling(name, expected, three_lobe):
+    curve = {"trefoil": trefoil(), "wiggly8": wiggly8(), "three-lobe": three_lobe}[name]
+    # the shifts spread over the circle and move the lattice and the window
+    # samples to different offsets along the curve
+    variants = {f"shift {j}": phase_shifted(curve, 0.05 + 0.53 * j) for j in range(12)}
+    variants["reversed"] = Curve(curve.a0, curve.cos_coeffs, -curve.sin_coeffs)
+    for scale in (1e-3, 1e3):
+        variants[f"scaled {scale:g}"] = Curve(
+            scale * curve.a0, scale * curve.cos_coeffs, scale * curve.sin_coeffs
+        )
+    for label, variant in variants.items():
+        report = find_all(variant)
+        assert (len(report.classes), report.parity) == expected, label
+        assert report.degeneracy_flags == [], label
 
 
 def test_continuum_suspected_flag(unit_circle):

@@ -2,8 +2,9 @@
 
 Each reference is the straightforward form of the rule: a canonical
 rotation tested for order, single linkage from a ``class_distance`` double
-loop and a union-find, and Newton damping that halves the step one
-fraction at a time.  The solver must agree with them exactly.
+loop and a union-find, Newton damping that halves the step one fraction at
+a time, and residual minima read off a dense n^4 array.  The solver must
+agree with them exactly.
 """
 
 import numpy as np
@@ -18,11 +19,16 @@ from squarepeg.solver import (
     _STATUS_NEAR_BOUNDARY,
     _canonical_batch,
     _class_distances,
+    SEED_NORM,
     _cluster_labels,
+    _index_tables,
+    _lattice_minima,
     _newton_batch,
     _ordered_batch,
     _representatives,
 )
+
+from oracle import _candidates
 
 TWO_PI = 2 * np.pi
 
@@ -223,3 +229,52 @@ def test_newton_batch_matches_sequential_halving(name, three_lobe):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert np.count_nonzero(got[2] == _STATUS_CONVERGED) > 0
+
+
+def dense_norms(sq):
+    """(n, n, n, n) residual sup-norm of one squared-distance table.
+
+    The formula of ``tests/oracle.py::_norm_lattice`` in float64; +inf off
+    the strictly increasing index tuples.
+    """
+    i, j, k, l = np.meshgrid(*[np.arange(len(sq))] * 4, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (
+            sq[i, j] / sq[i, l] - 1.0,
+            sq[j, k] / sq[i, j] - 1.0,
+            sq[k, l] / sq[j, k] - 1.0,
+            (sq[i, k] - sq[j, l]) / sq[i, j],
+        )
+        norm = np.maximum.reduce([np.abs(x) for x in g])
+    return np.where((i < j) & (j < k) & (k < l), norm, np.inf)
+
+
+@pytest.mark.parametrize("threshold", [SEED_NORM, np.inf])
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("name", ["ellipse", "circle", "three-lobe", "wiggly8"])
+def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
+    ellipse = make_ellipse(2, 1)
+    curve = {
+        "ellipse": ellipse,
+        "circle": make_ellipse(1, 1),
+        "three-lobe": three_lobe,
+        "wiggly8": perturb(ellipse, 0.12, 8, seed=3),
+    }[name]
+    # one table of the whole circle and three of short arcs, batch-last
+    angles = np.stack(
+        [TWO_PI * np.arange(n) / n]
+        + [start + 0.5 * np.arange(n) / n for start in (0.0, 1.3, 4.0)],
+        axis=-1,
+    )
+    pts = curve.eval(angles)
+    sq = ((pts[:, None] - pts[None, :]) ** 2).sum(axis=-1)
+    rows, tables = _lattice_minima(sq, threshold)
+    got = {(int(b), tuple(t)) for b, t in zip(tables, _index_tables(n)[0][rows].tolist())}
+    expected = set()
+    for b in range(sq.shape[-1]):
+        dense = dense_norms(sq[..., b])
+        for idx in _candidates(dense, extra_lowest=0):
+            if dense[tuple(idx)] < threshold:
+                expected.add((b, tuple(idx.tolist())))
+    assert got == expected
+    assert len(got) > 0
