@@ -18,9 +18,8 @@ from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
 from .solver import SolveReport, SolverOptions, _class_distances, find_all
 
-#: default lattice size of interior steps (endpoints use ``opts.grid``); a
-#: 12-lattice loses one of the pair born on the ellipse -> three-lobe path
-FRESH_GRID = 20
+#: default lattice size of interior steps (endpoints use ``opts.grid``)
+FRESH_GRID = 12
 
 #: refined event intervals stop at this width in t
 EVENT_T_TOL = 1e-4

@@ -2,7 +2,7 @@
 
 The residual G(theta) = g(gamma(theta_1..4)) - (1,1,1,0) is driven to zero
 from ordered seeds at the discrete local minima of its sup-norm, on a lattice
-of equally spaced curve samples and on short arcs sampled for squares down
+of equally spaced curve samples and on short arcs sized for squares down
 to ``SIZE_FLOOR``.  Converged roots are certified by the 4x4
 reduced Jacobian determinant, deduplicated up to cyclic relabeling, and
 reported with a parity verdict.
@@ -96,7 +96,9 @@ _HALVING_BLOCKS = tuple(
 )
 
 #: delta: the smallest vertex separation, over the curve diameter, of the
-#: squares that the short-arc windows are meant to resolve
+#: squares that the default short-arc windows were sized for.  A design
+#: target, not a bound checked on any solve: nothing derives it from the
+#: window sizes below or from the curve
 SIZE_FLOOR = 0.005
 
 #: the windows: ``WINDOW_ARCS`` arcs [c, c + WINDOW_WIDTH) with equally
@@ -105,8 +107,10 @@ WINDOW_ARCS = 128
 WINDOW_WIDTH = 0.5
 WINDOW_SAMPLES = 14
 
-#: a discrete local minimum, on the lattice or on a window, seeds Newton
-#: when its residual sup-norm is below this
+#: a discrete local minimum seeds Newton when its residual sup-norm is below
+#: ``LATTICE_SEED_NORM`` on the lattice and ``SEED_NORM`` on the windows; a
+#: window threshold of 0.9 seeds thousands of short-arc tuples on every curve
+LATTICE_SEED_NORM = 0.9
 SEED_NORM = 0.75
 
 #: row blocks of the pairwise class-distance matrix
@@ -375,26 +379,29 @@ def _squared_distances(pts: np.ndarray) -> np.ndarray:
 def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
     """Seeds at the residual's discrete minima on the n-lattice and on the windows.
 
-    The lattice takes n equally spaced curve samples.  Sorted index tuples
-    cut the circle at the first sample: the tuples near a root whose
-    vertices straddle the cut lie on both sides of it and are not
-    neighbours, which can hide the root's minimum.  So the lattice is
-    scanned twice, with the samples numbered from angle 0 and from angle pi.
-    Each of the ``WINDOW_ARCS`` windows samples one short arc, so that
-    squares too small for the lattice to resolve still sit at a minimum of
-    some window's tuples.  The two numberings are scanned in one batch of
+    The lattice takes n equally spaced curve samples, and a second set of n
+    offset from them by half a step: roots closer than a few lattice steps
+    share one minimum on one set of samples and can fall to separate
+    minima on the other.  Sorted index tuples cut the circle at the first
+    sample: the tuples near a root whose vertices straddle the cut lie on
+    both sides of it and are not neighbours, which can hide the root's
+    minimum.  So each set is scanned twice, with the samples numbered from
+    its first sample and from the one half way round.  Each of the
+    ``WINDOW_ARCS`` windows samples one short arc, so that squares too
+    small for the lattice to resolve still sit at a minimum of some
+    window's tuples.  The four numberings are scanned in one batch of
     tables, and all the windows in another.
     """
-    values = TWO_PI * np.arange(n) / n
-    numberings = np.stack([values, np.roll(values, -(n // 2))], axis=-1)
-    rows, seams = _lattice_minima(_squared_distances(curve.eval(numberings)), SEED_NORM)
+    values = TWO_PI * (np.arange(n)[:, None] + np.array([0.0, 0.5])) / n
+    numberings = np.hstack([values, np.roll(values, -(n // 2), axis=0)])
+    rows, cols = _lattice_minima(_squared_distances(curve.eval(numberings)), LATTICE_SEED_NORM)
     angles = WINDOW_WIDTH * np.arange(WINDOW_SAMPLES)[:, None] / WINDOW_SAMPLES + (
         TWO_PI * np.arange(WINDOW_ARCS) / WINDOW_ARCS
     )
     arc_rows, arcs = _lattice_minima(_squared_distances(curve.eval(angles)), SEED_NORM)
     return np.vstack(
         [
-            numberings[_index_tables(n)[0][rows], seams[:, None]],
+            numberings[_index_tables(n)[0][rows], cols[:, None]],
             angles[_index_tables(WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]],
         ]
     )

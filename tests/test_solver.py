@@ -592,6 +592,22 @@ def test_find_all_wiggly8_finds_its_small_classes():
     assert min(s.min_separation for s in report.classes) < 0.01
 
 
+def ellipse46() -> Curve:
+    """A simple perturbed ellipse with five roots within 0.5 rad of each other."""
+    return perturb(make_ellipse(2, 1), 0.08, 8, seed=46)
+
+
+def test_find_all_separates_clustered_roots():
+    # the five classes sit a lattice step or two apart near a double fold;
+    # the 24-lattice alone gives four of them, the half-step offset samples
+    # separate the fifth
+    report = find_all(ellipse46())
+    assert len(report.classes) == 5
+    assert report.all_transverse
+    assert report.parity == "odd"
+    assert report.degeneracy_flags == []
+
+
 def phase_shifted(curve: Curve, shift: float) -> Curve:
     """The curve theta -> gamma(theta + shift)."""
     h = np.arange(1, curve.harmonics + 1) * shift
@@ -601,10 +617,20 @@ def phase_shifted(curve: Curve, shift: float) -> Curve:
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("trefoil", (15, "odd")), ("wiggly8", (3, "odd")), ("three-lobe", (3, "odd"))],
+    [
+        ("trefoil", (15, "odd")),
+        ("wiggly8", (3, "odd")),
+        ("three-lobe", (3, "odd")),
+        ("ellipse46", (5, "odd")),
+    ],
 )
 def test_class_count_invariant_under_reparametrisation_and_scaling(name, expected, three_lobe):
-    curve = {"trefoil": trefoil(), "wiggly8": wiggly8(), "three-lobe": three_lobe}[name]
+    curve = {
+        "trefoil": trefoil(),
+        "wiggly8": wiggly8(),
+        "three-lobe": three_lobe,
+        "ellipse46": ellipse46(),
+    }[name]
     # the shifts spread over the circle and move the lattice and the window
     # samples to different offsets along the curve
     variants = {f"shift {j}": phase_shifted(curve, 0.05 + 0.53 * j) for j in range(12)}

@@ -19,6 +19,7 @@ from squarepeg.solver import (
     _STATUS_NEAR_BOUNDARY,
     _canonical_batch,
     _class_distances,
+    LATTICE_SEED_NORM,
     SEED_NORM,
     _cluster_labels,
     _index_tables,
@@ -249,7 +250,7 @@ def dense_norms(sq):
     return np.where((i < j) & (j < k) & (k < l), norm, np.inf)
 
 
-@pytest.mark.parametrize("threshold", [SEED_NORM, np.inf])
+@pytest.mark.parametrize("threshold", [SEED_NORM, LATTICE_SEED_NORM, np.inf])
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("name", ["ellipse", "circle", "three-lobe", "wiggly8"])
 def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
