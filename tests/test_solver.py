@@ -593,19 +593,12 @@ def test_find_all_wiggly8_finds_its_small_classes():
 
 
 def ellipse46() -> Curve:
-    """A simple perturbed ellipse with five roots within 0.5 rad of each other."""
+    """A simple perturbed ellipse with five roots within 0.5 rad of each other.
+
+    They sit a lattice step or two apart near a double fold: the 24-lattice
+    alone gives four of them, the half-step offset samples separate the fifth.
+    """
     return perturb(make_ellipse(2, 1), 0.08, 8, seed=46)
-
-
-def test_find_all_separates_clustered_roots():
-    # the five classes sit a lattice step or two apart near a double fold;
-    # the 24-lattice alone gives four of them, the half-step offset samples
-    # separate the fifth
-    report = find_all(ellipse46())
-    assert len(report.classes) == 5
-    assert report.all_transverse
-    assert report.parity == "odd"
-    assert report.degeneracy_flags == []
 
 
 def phase_shifted(curve: Curve, shift: float) -> Curve:
@@ -633,7 +626,8 @@ def test_class_count_invariant_under_reparametrisation_and_scaling(name, expecte
     }[name]
     # the shifts spread over the circle and move the lattice and the window
     # samples to different offsets along the curve
-    variants = {f"shift {j}": phase_shifted(curve, 0.05 + 0.53 * j) for j in range(12)}
+    variants = {"as given": curve}
+    variants.update({f"shift {j}": phase_shifted(curve, 0.05 + 0.53 * j) for j in range(12)})
     variants["reversed"] = Curve(curve.a0, curve.cos_coeffs, -curve.sin_coeffs)
     for scale in (1e-3, 1e3):
         variants[f"scaled {scale:g}"] = Curve(
