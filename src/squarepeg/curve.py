@@ -164,9 +164,11 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     Returns ``{"min_speed": float, "min_self_distance": float}``.  The
     self-distance minimum skips parameter pairs within 4 grid steps of each
     other, so it measures genuine near-self-intersection, not arc length.
-    It is exact: the skipped band around a sample holds 2 * 4 + 1 samples,
-    so the nearest sample outside it is among its 2 * 4 + 2 nearest
-    neighbours, which one k-d tree query returns for every sample.
+    It is exact: the smallest chord between samples 5 steps apart is itself
+    a pair outside the skipped band, so it bounds the minimum, and one k-d
+    tree query returns every pair no farther apart than that bound; the
+    minimum is the bound or the nearest of those pairs that lie more than
+    4 steps apart around the circle.
     """
     from scipy.spatial import cKDTree
 
@@ -176,10 +178,12 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     min_speed = float(np.linalg.norm(curve.deriv(theta), axis=1).min())
     pts = curve.eval(theta)
     exclusion = 4
-    dist, nbr = cKDTree(pts).query(pts, k=2 * exclusion + 2)
-    sep = np.abs(nbr - np.arange(samples)[:, None])
-    sep = np.minimum(sep, samples - sep)
-    min_self = float(dist[sep > exclusion].min())
+    bound = np.linalg.norm(pts - np.roll(pts, -(exclusion + 1), axis=0), axis=1).min()
+    i, j = cKDTree(pts).query_pairs(bound * (1 + 1e-12), output_type="ndarray").T
+    sep = np.abs(i - j)
+    far = np.minimum(sep, samples - sep) > exclusion
+    dist = np.linalg.norm(pts[i[far]] - pts[j[far]], axis=1)
+    min_self = float(dist.min(initial=bound))
     return {"min_speed": min_speed, "min_self_distance": min_self}
 
 

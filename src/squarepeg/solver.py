@@ -87,12 +87,12 @@ _EXPAND_COL, _EXPAND_PAIR = np.array(
 #: cofactor signs (-1)^(i + j), row j, column i
 _COFACTOR_SIGNS = (-1.0) ** (np.arange(4)[:, None] + np.arange(4))[..., None]
 
-#: Newton step fractions 2^-k, k = 0..10, grouped into the blocks that the
-#: line search evaluates in one kernel call each, shaped to broadcast
-#: against (rows, 4) steps
+#: Newton step fractions 2^-k, k = 0..10, in the two blocks that the line
+#: search evaluates in one kernel call each: the full step, which most rows
+#: take, then all ten halvings at once; shaped to broadcast against (rows, 4)
+#: steps
 _HALVING_BLOCKS = tuple(
-    np.ldexp(1.0, -np.array(ks))[:, None, None]
-    for ks in ((0,), (1,), (2, 3), (4, 5, 6, 7), (8, 9, 10))
+    np.ldexp(1.0, -np.array(ks))[:, None, None] for ks in ((0,), tuple(range(1, 11)))
 )
 
 #: delta: the smallest vertex separation, over the curve diameter, of the
@@ -371,9 +371,12 @@ def _lattice_minima(sq: np.ndarray, threshold: float):
 
 
 def _squared_distances(pts: np.ndarray) -> np.ndarray:
-    """(n, ..., k) points -> (n, n, ...) table of their squared distances."""
-    diff = pts[:, None] - pts[None, :]
-    return (diff * diff).sum(axis=-1)
+    """(n, ..., k) points -> (n, n, ...) table of their squared distances.
+
+    The squares are summed one coordinate at a time, in coordinate order,
+    so no (n, n, ..., k) difference array is formed.
+    """
+    return sum((x[:, None] - x[None, :]) ** 2 for x in np.moveaxis(pts, -1, 0))
 
 
 def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
@@ -409,11 +412,12 @@ def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
 
 def canonical_theta(thetas) -> np.ndarray:
     """Reduce mod 2pi and rotate the tuple so the smallest angle comes first."""
-    th = np.mod(np.asarray(thetas, dtype=float).reshape(4), TWO_PI)
-    return np.roll(th, -int(np.argmin(th)))
+    return _canonical_batch(np.asarray(thetas, dtype=float).reshape(1, 4))[0]
 
 
 def _canonical_batch(thetas: np.ndarray) -> np.ndarray:
+    """Rows of an (m, 4) array reduced mod 2pi and rotated to start at their
+    smallest angle (the first of equal smallest ones)."""
     th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
     rows = np.arange(th.shape[0])
     start = np.argmin(th, axis=1)
@@ -434,14 +438,8 @@ def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
 
 def class_distance(t1, t2) -> float:
     """Sup metric on angle tuples up to cyclic relabeling, circular per angle."""
-    a = np.mod(np.asarray(t1, dtype=float).reshape(4), TWO_PI)
-    b = np.mod(np.asarray(t2, dtype=float).reshape(4), TWO_PI)
-    best = np.inf
-    for s in range(4):
-        diff = np.abs(a - np.roll(b, s)) % TWO_PI
-        diff = np.minimum(diff, TWO_PI - diff)
-        best = min(best, float(diff.max()))
-    return best
+    a, b = (np.mod(np.asarray(t, dtype=float).reshape(1, 4), TWO_PI) for t in (t1, t2))
+    return float(_class_distances(a, b)[0, 0])
 
 
 def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
@@ -604,27 +602,37 @@ def _rank3_step(jac: np.ndarray, cof: np.ndarray, res: np.ndarray):
 
 
 def _certify(jac: np.ndarray, opts: SolverOptions):
-    """Jacobian determinant and the scale-relative transversality verdict."""
-    det = float(_cofactors(jac[..., None])[1][0])
+    """Determinants and scale-relative transversality verdicts of a batch-last
+    (4, 4, m) Jacobian stack.
+
+    A row is transverse when no Jacobian row norm falls to ``ROW_FLOOR``
+    times the largest and |det| exceeds ``opts.det_threshold`` times the
+    product of the row norms.
+    """
+    det = _cofactors(jac)[1]
     rows = np.linalg.norm(jac, axis=1)
-    if rows.max() == 0.0 or rows.min() <= ROW_FLOOR * rows.max():
-        return det, False
-    return det, bool(abs(det) > opts.det_threshold * float(np.prod(rows)))
+    top = rows.max(axis=0)
+    scaled = (top > 0.0) & (rows.min(axis=0) > ROW_FLOOR * top)
+    return det, scaled & (np.abs(det) > opts.det_threshold * np.prod(rows, axis=0))
 
 
-def _make_solution(curve: Curve, theta: np.ndarray, opts: SolverOptions) -> Solution:
-    th = canonical_theta(theta)[None, :]
+def _make_solutions(curve: Curve, thetas: np.ndarray, opts: SolverOptions) -> list:
+    """Certified ``Solution``s of (m, 4) roots, in canonical form, in one batch."""
+    th = _canonical_batch(thetas)
     pts = _points_at(curve, th)
     _, norms, min_sep, jac = _kernel(pts, curve.diameter, _tangents_at(curve, th))
-    det, transverse = _certify(jac[..., 0], opts)
-    return Solution(
-        theta=th[0],
-        config=Config4(pts[0]),
-        residual_norm=float(norms[0]),
-        jac_det=det,
-        transverse=transverse,
-        min_separation=float(min_sep[0] / curve.diameter),
-    )
+    det, transverse = _certify(jac, opts)
+    return [
+        Solution(
+            theta=th[i],
+            config=Config4(pts[i]),
+            residual_norm=float(norms[i]),
+            jac_det=float(det[i]),
+            transverse=bool(transverse[i]),
+            min_separation=float(min_sep[i] / curve.diameter),
+        )
+        for i in range(len(th))
+    ]
 
 
 def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> Solution:
@@ -636,7 +644,7 @@ def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> So
     thetas, norms, status, singular = _newton_batch(curve, th0[None, :], opts)
     st = int(status[0])
     if st == _STATUS_CONVERGED:
-        return _make_solution(curve, thetas[0], opts)
+        return _make_solutions(curve, thetas[:1], opts)[0]
     if st == _STATUS_LEFT_ORDERED:
         raise LeftOrderedComponent(f"left the ordered component at angles {thetas[0]}")
     if st == _STATUS_NEAR_BOUNDARY:
@@ -657,9 +665,9 @@ def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> So
 def _class_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) matrix of ``class_distance`` between reduced (n, 4) and (m, 4) tuples.
 
-    The four cyclic shifts of ``b`` are compared with ``a`` at once, with
-    the arithmetic of ``class_distance``, so each entry equals it bit for
-    bit when the angles are already reduced mod 2pi.
+    The four cyclic shifts of ``b`` are compared with ``a`` at once: the
+    largest circular angle difference of each shift, minimised over the
+    shifts.
     """
     diff = np.abs(a[:, None, None, :] - b[:, _CYCLIC_SHIFTS]) % TWO_PI
     return np.minimum(diff, TWO_PI - diff).max(axis=-1).min(axis=-1)
@@ -766,7 +774,7 @@ def find_all(
 
     canon = _canonical_batch(thetas[status == _STATUS_CONVERGED])
     labels = _cluster_labels(canon, opts.dedup_radius)
-    classes = [_make_solution(curve, canon[i], opts) for i in _representatives(canon, labels)]
+    classes = _make_solutions(curve, canon[_representatives(canon, labels)], opts)
     classes.sort(key=lambda s: tuple(s.theta))
 
     all_transverse = all(s.transverse for s in classes)

@@ -98,3 +98,13 @@ def test_track_nontransverse_endpoint(unit_circle, ellipse21):
     with pytest.raises(NonTransversePath) as err:
         track(unit_circle, ellipse21, steps=4)
     assert err.value.t == 0.0
+
+
+def test_track_retries_a_withheld_interior_step():
+    # the path passes through the circle at t = 0.5, whose continuum of
+    # squares withholds parity; the step is retried half way back, at 0.375
+    trace = track(make_ellipse(2, 1), make_ellipse(1, 2), steps=4)
+    assert trace.ts == [0.0, 0.25, 0.375, 0.75, 1.0]
+    assert trace.class_counts == [1] * 5
+    assert trace.parity_per_step == ["odd"] * 5
+    assert trace.events == []

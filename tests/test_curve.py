@@ -185,16 +185,29 @@ def min_self_distance_reference(curve, samples, exclusion=4):
     return best
 
 
+def chord_bound(curve, samples, exclusion=4):
+    """The smallest chord between samples ``exclusion + 1`` steps apart."""
+    pts = curve.eval(TWO_PI * np.arange(samples) / samples)
+    return float(np.linalg.norm(pts - np.roll(pts, exclusion + 1, axis=0), axis=1).min())
+
+
 @pytest.mark.parametrize("samples", [16, 100, 1024])
 def test_embedding_check_matches_brute_force(samples):
     rng = np.random.default_rng(samples)
     figure_eight = Curve([0, 0], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    curves = [figure_eight] + [
+    # wiggly8 crosses itself, so a far pair is closer than the 5-step chord;
+    # on the ellipse the 5-step chord is the minimum
+    wiggly8 = perturb(make_ellipse(2, 1), 0.12, 8, seed=3)
+    ellipse = make_ellipse(2, 1)
+    curves = [figure_eight, wiggly8, ellipse] + [
         random_smooth_curve(rng, dim=dim, harmonics=5) for dim in (2, 2, 3)
     ]
     for curve in curves:
         got = regularity_and_embedding_check(curve, samples=samples)["min_self_distance"]
         assert got == pytest.approx(min_self_distance_reference(curve, samples), rel=1e-12)
+    if samples == 1024:
+        assert min_self_distance_reference(wiggly8, samples) < chord_bound(wiggly8, samples)
+        assert min_self_distance_reference(ellipse, samples) == chord_bound(ellipse, samples)
 
 
 def diameter_reference(pts):

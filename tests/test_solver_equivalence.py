@@ -1,16 +1,24 @@
 """The solver's whole-array bookkeeping against plain reference implementations.
 
 Each reference is the straightforward form of the rule: a canonical
-rotation tested for order, single linkage from a ``class_distance`` double
-loop and a union-find, Newton damping that halves the step one fraction at
-a time, and residual minima read off a dense n^4 array.  The solver must
-agree with them exactly.
+rotation by ``np.roll`` tested for order, the class distance as a loop over
+the four cyclic shifts, single linkage from a double loop over it and a
+union-find, Newton damping that halves the step one fraction at a time, and
+residual minima read off a dense n^4 array.  The solver must agree with them
+exactly.
 """
 
 import numpy as np
 import pytest
 
-from squarepeg import SolverOptions, class_distance, make_ellipse, perturb, seed_grid
+from squarepeg import (
+    SolverOptions,
+    canonical_theta,
+    class_distance,
+    make_ellipse,
+    perturb,
+    seed_grid,
+)
 from squarepeg import solver
 from squarepeg.solver import (
     _STATUS_CONVERGED,
@@ -27,6 +35,7 @@ from squarepeg.solver import (
     _newton_batch,
     _ordered_batch,
     _representatives,
+    _squared_distances,
 )
 
 from oracle import _candidates
@@ -34,9 +43,37 @@ from oracle import _candidates
 TWO_PI = 2 * np.pi
 
 
+def canonical_reference(thetas):
+    """Reduce mod 2pi and rotate the tuple so the smallest angle comes first."""
+    th = np.mod(np.asarray(thetas, dtype=float).reshape(4), TWO_PI)
+    return np.roll(th, -int(np.argmin(th)))
+
+
+def class_distance_reference(t1, t2):
+    """Sup metric on angle tuples up to cyclic relabeling, circular per angle."""
+    a = np.mod(np.asarray(t1, dtype=float).reshape(4), TWO_PI)
+    b = np.mod(np.asarray(t2, dtype=float).reshape(4), TWO_PI)
+    best = np.inf
+    for s in range(4):
+        diff = np.abs(a - np.roll(b, s)) % TWO_PI
+        diff = np.minimum(diff, TWO_PI - diff)
+        best = min(best, float(diff.max()))
+    return best
+
+
 def ordered_reference(thetas):
     """Rows whose canonical rotation (smallest angle first) strictly increases."""
     return np.all(np.diff(_canonical_batch(thetas), axis=1) > 0, axis=1)
+
+
+def test_canonical_rotation_matches_reference():
+    rng = np.random.default_rng(50)
+    spread = rng.uniform(-4 * np.pi, 6 * np.pi, size=(500, 4))
+    ties = rng.choice(np.arange(-8, 17) * np.pi / 4, size=(500, 4))
+    thetas = np.concatenate([spread, ties, [[TWO_PI, 1.0, 2.0, 3.0], [-0.0, 1.0, 1.0, -0.0]]])
+    expected = np.array([canonical_reference(th) for th in thetas])
+    assert np.array_equal(_canonical_batch(thetas), expected)
+    assert all(np.array_equal(canonical_theta(th), e) for th, e in zip(thetas, expected))
 
 
 def test_ordered_batch_matches_canonical_rotation_rule():
@@ -73,8 +110,12 @@ def test_class_distance_matrix_matches_class_distance():
     # near copies of rows of a, relabeled, and unrelated tuples
     near = np.roll(a[:10] + rng.uniform(-1e-9, 1e-9, size=(10, 4)), 1, axis=1)
     b = np.mod(np.concatenate([near, rng.uniform(-1, 7, size=(20, 4))]), TWO_PI)
-    expected = np.array([[class_distance(x, y) for y in b] for x in a])
+    expected = np.array([[class_distance_reference(x, y) for y in b] for x in a])
     assert np.array_equal(_class_distances(a, b), expected)
+    # the public scalar reduces its arguments, as the reference does
+    unreduced = b + TWO_PI * rng.integers(-2, 3, size=b.shape)
+    got = [class_distance(a[0] - TWO_PI, y) for y in unreduced]
+    assert got == [class_distance_reference(a[0] - TWO_PI, y) for y in unreduced]
 
 
 def single_linkage_reference(canon, radius):
@@ -89,7 +130,7 @@ def single_linkage_reference(canon, radius):
 
     for i in range(len(canon)):
         for j in range(i):
-            if class_distance(canon[i], canon[j]) <= radius:
+            if class_distance_reference(canon[i], canon[j]) <= radius:
                 parent[find(i)] = find(j)
     classes = {}
     for i in range(len(canon)):
@@ -157,7 +198,7 @@ def test_cluster_labels_chain_links_ends_farther_than_radius():
     base = np.array([0.3, 1.4, 2.9, 4.4])
     step = np.array([0.9, 0.0, -0.5, 0.2]) * radius
     chain = base + np.arange(6)[:, None] * step
-    assert class_distance(chain[0], chain[2]) > radius
+    assert class_distance_reference(chain[0], chain[2]) > radius
     far = base + 5.0
     thetas = np.concatenate([chain, chain[::2], [far], [far]])
     classes = check_clusters(thetas[::-1], radius)
@@ -230,6 +271,17 @@ def test_newton_batch_matches_sequential_halving(name, three_lobe):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert np.count_nonzero(got[2] == _STATUS_CONVERGED) > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_squared_distances_match_difference_array(dim):
+    # summed coordinate by coordinate in the order of the reduction over the
+    # last axis, so the lattice minima see the same bits
+    rng = np.random.default_rng(53 + dim)
+    for shape in [(24, 4), (14, 128), (32,)]:
+        pts = rng.normal(size=shape + (dim,)) * 10.0 ** rng.uniform(-3, 3)
+        diff = pts[:, None] - pts[None, :]
+        assert np.array_equal(_squared_distances(pts), (diff * diff).sum(axis=-1))
 
 
 def dense_norms(sq):
