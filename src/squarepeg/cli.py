@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from inspect import signature
 
 import numpy as np
 
@@ -40,6 +41,16 @@ from .verify import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
+
+#: solver flags: flag, the ``SolverOptions`` field it sets, help
+_SOLVER_FLAGS = (
+    ("--grid", "grid", "lattice size: curve samples scanned for seeds"),
+    ("--tol", "tol_residual", "residual tolerance"),
+    ("--dedup-eps", "dedup_radius", "dedup radius"),
+    ("--sep-guard", "sep_guard", "min separation / diameter"),
+    ("--det-threshold", "det_threshold", "transversality threshold"),
+    ("--max-iters", "max_iters", "Newton iterations"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("track", help="continuation between two curves")
     tr.add_argument("--curve", required=True, help="start curve JSON file")
     tr.add_argument("--target", required=True, help="end curve JSON file")
-    tr.add_argument("--steps", type=int, default=64)
+    tr.add_argument("--steps", type=int, default=signature(track).parameters["steps"].default)
     _add_solver_flags(tr)
     _add_output_flags(tr)
 
@@ -195,7 +206,7 @@ def _cmd_track(args) -> int:
     payload["curve_hash"] = curve_hash(c0)
     payload["target_hash"] = curve_hash(c1)
     _emit_json(args, payload)
-    parities = {p for p in trace.parity_per_step}
+    parities = set(trace.parity_per_step)
     if "withheld" in parities or len(parities) > 1:
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -235,18 +246,10 @@ def _cmd_strata(args) -> int:
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument(
-        "--grid", type=int, default=24, help="lattice size: curve samples scanned for seeds"
-    )
-    parser.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
-    parser.add_argument("--dedup-eps", type=float, default=1e-6, help="dedup radius")
-    parser.add_argument(
-        "--sep-guard", type=float, default=1e-3, help="min separation / diameter"
-    )
-    parser.add_argument(
-        "--det-threshold", type=float, default=1e-8, help="transversality threshold"
-    )
-    parser.add_argument("--max-iters", type=int, default=50, help="Newton iterations")
+    defaults = SolverOptions()
+    for flag, name, help_text in _SOLVER_FLAGS:
+        default = getattr(defaults, name)
+        parser.add_argument(flag, dest=name, type=type(default), default=default, help=help_text)
 
 
 def _add_output_flags(parser, svg: bool = False, csv: bool = False) -> None:
@@ -258,14 +261,7 @@ def _add_output_flags(parser, svg: bool = False, csv: bool = False) -> None:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        grid=args.grid,
-        tol_residual=args.tol,
-        max_iters=args.max_iters,
-        dedup_radius=args.dedup_eps,
-        sep_guard=args.sep_guard,
-        det_threshold=args.det_threshold,
-    )
+    return SolverOptions(**{name: getattr(args, name) for _, name, _ in _SOLVER_FLAGS})
 
 
 def _load_curve(path: str) -> Curve:

@@ -45,14 +45,14 @@ def s_ratio(p_i, p_j, p_l) -> float:
 
 
 class Config4:
-    """Ordered 4-tuple of points with cached distances and directions.
+    """Ordered 4-tuple of points with cached pairwise distances.
 
     Accessors take 1-based labels so expressions read like the usual
     subscripts: ``c.dist(1, 3)`` is the first diagonal, ``c.ratio(1, 2, 4)``
     the side ratio |p1-p2| / |p1-p4|.  Instances are immutable.
     """
 
-    __slots__ = ("points", "_dists", "_dirs")
+    __slots__ = ("points", "_dists")
 
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True)
@@ -60,16 +60,11 @@ class Config4:
             raise ValueError(f"expected 4 points of equal dimension, got shape {pts.shape}")
         if pts.shape[1] < 2:
             raise ValueError("ambient dimension must be >= 2")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dists = np.linalg.norm(diff, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dirs = diff / dists[:, :, None]
+        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         pts.flags.writeable = False
         dists.flags.writeable = False
-        dirs.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_dists", dists)
-        object.__setattr__(self, "_dirs", dirs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Config4 is immutable")
@@ -89,21 +84,13 @@ class Config4:
 
     def direction(self, i: int, j: int) -> np.ndarray:
         """Unit vector from p_j toward p_i."""
-        if self._dists[i - 1, j - 1] == 0.0:
-            raise CoincidentPoints(f"points {i} and {j} coincide")
-        return self._dirs[i - 1, j - 1]
+        return direction(self.point(i), self.point(j))
 
     def ratio(self, i: int, j: int, l: int) -> float:
-        num = self._dists[i - 1, j - 1]
-        den = self._dists[i - 1, l - 1]
-        if den == 0.0:
-            if num == 0.0:
-                raise IndeterminateRatio(f"0/0 ratio r_{i}{j}{l}")
-            return np.inf
-        return float(num / den)
+        return ratio(self.point(i), self.point(j), self.point(l))
 
     def s_ratio(self, i: int, j: int, l: int) -> float:
-        return float(2.0 / np.pi * np.arctan(self.ratio(i, j, l)))
+        return s_ratio(self.point(i), self.point(j), self.point(l))
 
     def min_separation(self) -> float:
         d = self._dists[np.triu_indices(4, k=1)]
@@ -123,11 +110,37 @@ def ordered_component_check(thetas) -> bool:
 
     Angles are reduced mod 2pi first, so any real inputs are accepted.
     """
-    th = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
-    if th.shape != (4,):
+    if np.shape(thetas) != (4,):
         raise ValueError("expected exactly 4 angles")
-    rot = np.roll(th, -int(np.argmin(th)))
-    return bool(np.all(np.diff(rot) > 0.0))
+    return bool(_ordered_batch(thetas)[0])
+
+
+def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
+    """Rows of an (m, 4) array for which ``ordered_component_check`` holds.
+
+    That is so iff three of the four cyclic differences of the reduced
+    angles are positive: the fourth is then negative, and the rotation
+    starting after it is strictly increasing.  A nan difference is not
+    positive, so a nan row is not ordered.
+    """
+    th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
+    return np.count_nonzero(th[:, [1, 2, 3, 0]] - th > 0.0, axis=1) == 3
+
+
+def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected-component labels of n nodes under the symmetric links src-dst.
+
+    Each node takes the smallest node index of its component, by min-label
+    propagation with pointer jumping.
+    """
+    labels = np.arange(n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, src, labels[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
 
 
 @dataclass(frozen=True)
@@ -163,23 +176,10 @@ def strata_proximity(c: Config4, scale: float, eps: float = 1e-3) -> Stratum:
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    threshold = eps * scale
-    parent = list(range(4))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if c._dists[i, j] < threshold:
-                parent[find(i)] = find(j)
-    clusters = {}
-    for i in range(4):
-        clusters.setdefault(find(i), []).append(i + 1)
-    return Stratum.from_clusters(clusters.values())
+    labels = _component_labels(4, *np.nonzero(c._dists < eps * scale))
+    return Stratum.from_clusters(
+        [(np.flatnonzero(labels == lab) + 1).tolist() for lab in np.unique(labels)]
+    )
 
 
 def block_cycle_orientation_sign(k: int) -> int:

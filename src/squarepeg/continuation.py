@@ -9,7 +9,7 @@ parity constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
 from .solver import SolveReport, SolverOptions, _class_distances, find_all
 
-#: default lattice size of interior steps (endpoints use ``opts.grid``)
+#: lattice size of interior steps (endpoints use ``opts.grid``)
 FRESH_GRID = 12
 
 #: refined event intervals stop at this width in t
@@ -69,11 +69,14 @@ class ContinuationTrace:
     ts: list
     reports: list
     events: list
-    parity_per_step: list = field(default_factory=list)
 
     @property
     def class_counts(self) -> list:
         return [len(r.classes) for r in self.reports]
+
+    @property
+    def parity_per_step(self) -> list:
+        return [r.parity for r in self.reports]
 
 
 def track(
@@ -81,13 +84,12 @@ def track(
     c1: Curve,
     steps: int = 64,
     opts: SolverOptions | None = None,
-    fresh_grid: int = FRESH_GRID,
 ) -> ContinuationTrace:
     """Follow the solution classes of (1-t) c0 + t c1 for t in [0, 1].
 
     Endpoints are solved at the lattice size ``opts.grid``; interior steps
     reuse the previous step's classes as seeds plus a scan at lattice size
-    ``fresh_grid``, with the same short-arc windows.  Raises
+    ``FRESH_GRID``, with the same short-arc windows.  Raises
     ``RegularityLost`` if any intermediate curve fails the regularity or
     embedding check, and ``NonTransversePath`` if a step withholds parity
     even after one retry at a shifted parameter.
@@ -95,7 +97,7 @@ def track(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     opts = opts or SolverOptions()
-    interior = replace(opts, grid=fresh_grid)
+    interior = replace(opts, grid=FRESH_GRID)
 
     ts = [i / steps for i in range(steps + 1)]
     actual_ts = []
@@ -104,14 +106,15 @@ def track(
     for i, t in enumerate(ts):
         endpoint = i == 0 or i == steps
         step_opts = opts if endpoint else interior
-        t_used, report = _solve_step(c0, c1, t, step_opts, prev_thetas)
+        t_used = t
+        report = find_all(_curve_at(c0, c1, t_used), step_opts, extra_seeds=prev_thetas)
         if report.parity == "withheld":
             if endpoint:
                 raise NonTransversePath(
                     f"endpoint at t={t:.6g} is non-transverse", t=t
                 )
-            t_retry = 0.5 * (ts[i - 1] + t)
-            t_used, report = _solve_step(c0, c1, t_retry, step_opts, prev_thetas)
+            t_used = 0.5 * (ts[i - 1] + t)
+            report = find_all(_curve_at(c0, c1, t_used), step_opts, extra_seeds=prev_thetas)
             if report.parity == "withheld":
                 raise NonTransversePath(
                     f"step at t={t:.6g} stayed non-transverse after refinement", t=t
@@ -133,10 +136,7 @@ def track(
             TrackEvent(t_lo=t_lo, t_hi=t_hi, kind=kind, classes=born + died)
         )
 
-    parity = [r.parity for r in reports]
-    return ContinuationTrace(
-        ts=actual_ts, reports=reports, events=events, parity_per_step=parity
-    )
+    return ContinuationTrace(ts=actual_ts, reports=reports, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,6 @@ def _curve_at(c0: Curve, c1: Curve, t: float) -> Curve:
     return curve
 
 
-def _solve_step(c0, c1, t, step_opts, prev_thetas):
-    curve = _curve_at(c0, c1, t)
-    return t, find_all(curve, step_opts, extra_seeds=prev_thetas)
-
-
 def _match_classes(prev: SolveReport, cur: SolveReport):
     """Nearest-angle assignment between consecutive class sets.
 
@@ -182,15 +177,9 @@ def _match_classes(prev: SolveReport, cur: SolveReport):
     dist = _class_distances(np.mod(a, TWO_PI), np.mod(b, TWO_PI))
     rows, cols = linear_sum_assignment(dist)
     drifts = dist[rows, cols]
-    threshold = max(10.0 * float(np.median(drifts)), 1e-9)
-    matched_a = set()
-    matched_b = set()
-    for r, c, d in zip(rows, cols, drifts):
-        if d <= threshold:
-            matched_a.add(int(r))
-            matched_b.add(int(c))
-    born = [b[j] for j in range(len(b)) if j not in matched_b]
-    died = [a[i] for i in range(len(a)) if i not in matched_a]
+    kept = drifts <= max(10.0 * float(np.median(drifts)), 1e-9)
+    born = [b[j] for j in np.setdiff1d(np.arange(len(b)), cols[kept])]
+    died = [a[i] for i in np.setdiff1d(np.arange(len(a)), rows[kept])]
     return born, died
 
 

@@ -200,14 +200,13 @@ def curve_from_json_dict(data: dict) -> Curve:
         for fieldname in ("a", "b"):
             if fieldname not in data:
                 raise ValueError(f"ellipse curve JSON missing field '{fieldname}'")
-        return make_ellipse(float(data["a"]), float(data["b"]))
+        return make_ellipse(_json_number(data["a"], "a"), _json_number(data["b"], "b"))
     for fieldname in ("dim", "coords"):
         if fieldname not in data:
             raise ValueError(f"curve JSON missing field '{fieldname}'")
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise ValueError("field 'dim' must be an integer") from None
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
     coords = data["coords"]
     if not isinstance(coords, list) or len(coords) != dim:
         raise ValueError("field 'coords' must list one entry per dimension")
@@ -220,15 +219,28 @@ def curve_from_json_dict(data: dict) -> Curve:
         for fieldname in ("a0", "cos", "sin"):
             if fieldname not in entry:
                 raise ValueError(f"coords[{i}] missing field '{fieldname}'")
-        a0.append(float(entry["a0"]))
-        cos_rows.append([float(v) for v in entry["cos"]])
-        sin_rows.append([float(v) for v in entry["sin"]])
+        a0.append(_json_number(entry["a0"], f"coords[{i}].a0"))
+        for fieldname, rows in (("cos", cos_rows), ("sin", sin_rows)):
+            name = f"coords[{i}].{fieldname}"
+            if not isinstance(entry[fieldname], list):
+                raise ValueError(f"field '{name}' must be a list of numbers")
+            rows.append([_json_number(v, name) for v in entry[fieldname]])
     h = max([len(r) for r in cos_rows + sin_rows] + [1])
 
     def pad(rows):
         return np.array([r + [0.0] * (h - len(r)) for r in rows])
 
     return Curve(np.array(a0), pad(cos_rows), pad(sin_rows))
+
+
+def _json_number(value, name: str) -> float:
+    """A JSON number as a float; raises ValueError naming the field otherwise."""
+    if type(value) not in (int, float):  # not bool: JSON true/false are not numbers
+        raise ValueError(f"field '{name}' must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field '{name}' is out of range") from None
 
 
 def _point_set_diameter(pts: np.ndarray) -> float:

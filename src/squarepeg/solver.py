@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import TWO_PI, Config4, ordered_component_check
+from .config import TWO_PI, Config4, _component_labels, _ordered_batch, ordered_component_check
 from .curve import Curve
 from .errors import (
     DegenerateConfiguration,
@@ -149,14 +149,7 @@ class SolverOptions:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        return {
-            "grid": self.grid,
-            "tol_residual": self.tol_residual,
-            "max_iters": self.max_iters,
-            "dedup_radius": self.dedup_radius,
-            "sep_guard": self.sep_guard,
-            "det_threshold": self.det_threshold,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -176,10 +169,14 @@ class SolveReport:
     """Cyclic classes of inscribed square-like quadrilaterals on one curve."""
 
     classes: list
-    labeled_count: int
     parity: str  # "odd" | "even" | "withheld"
     all_transverse: bool
     degeneracy_flags: list = field(default_factory=list)
+
+    @property
+    def labeled_count(self) -> int:
+        """Labeled roots: the four cyclic relabelings of each class."""
+        return 4 * len(self.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +262,14 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     Every cyclic class of distinct grid angles keeps at least its minimal
     rotation when the minimum lies below pi/2, which pre-quotients the cyclic
     relabeling approximately while Newton remains free to leave the region.
-    The rows are built once per ``n_per_axis`` and returned read-only.
     """
     if n_per_axis < 4:
         raise ValueError("n_per_axis must be >= 4")
-    return _seed_rows(n_per_axis)
+    values = TWO_PI * np.arange(n_per_axis) / n_per_axis
+    combos = _combinations(n_per_axis)
+    # row t of the (4, 4) index table rotates a combination to start at slot t
+    rotations = combos[:, (np.arange(4)[:, None] + np.arange(4)) % 4]
+    return values[rotations[values[combos] < np.pi / 2]]
 
 
 def _combinations(n: int) -> np.ndarray:
@@ -277,17 +277,6 @@ def _combinations(n: int) -> np.ndarray:
     return np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 4)), dtype=np.intp
     ).reshape(-1, 4)
-
-
-@functools.cache
-def _seed_rows(n_per_axis: int) -> np.ndarray:
-    values = TWO_PI * np.arange(n_per_axis) / n_per_axis
-    combos = _combinations(n_per_axis)
-    # row t of the (4, 4) index table rotates a combination to start at slot t
-    rotations = combos[:, (np.arange(4)[:, None] + np.arange(4)) % 4]
-    rows = values[rotations[values[combos] < np.pi / 2]]
-    rows.flags.writeable = False
-    return rows
 
 
 @functools.cache
@@ -422,18 +411,6 @@ def _canonical_batch(thetas: np.ndarray) -> np.ndarray:
     rows = np.arange(th.shape[0])
     start = np.argmin(th, axis=1)
     return np.stack([th[rows, (start + s) % 4] for s in range(4)], axis=1)
-
-
-def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
-    """Rows whose canonical rotation is strictly increasing.
-
-    That holds iff three of the four cyclic differences of the reduced
-    angles are positive: the fourth is then negative, and the rotation
-    starting after it is the canonical one.  A nan difference is not
-    positive, so a nan row is not ordered.
-    """
-    th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
-    return np.count_nonzero(th[:, [1, 2, 3, 0]] - th > 0.0, axis=1) == 3
 
 
 def class_distance(t1, t2) -> float:
@@ -694,20 +671,13 @@ def _cluster_labels(canon: np.ndarray, radius: float) -> np.ndarray:
     (identical roots found from many seeds land in the same bucket), each
     owned by its first tuple.  Owners within ``radius`` of each other are
     linked, and each owner takes the smallest owner index of its connected
-    component, by min-label propagation with pointer jumping.
+    component (``_component_labels``).
     """
     keys = (canon / (radius / 4.0)).astype(np.int64)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     owners = canon[first]
     src, dst = _linked(owners, owners, radius)
-    labels = np.arange(len(owners))
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, src, labels[dst])
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            return labels[inverse.reshape(-1)]
-        labels = hooked
+    return _component_labels(len(owners), src, dst)[inverse.reshape(-1)]
 
 
 def _representatives(canon: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -728,8 +698,9 @@ def quotient_dedup(solutions: list, radius: float = 1e-6) -> list:
     the representative is the lexicographically smallest canonical tuple, and
     the result is sorted lexicographically for determinism.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    # the comparisons are False for nan, as in ``SolverOptions``
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     if not solutions:
         return []
     canon = _canonical_batch(np.array([s.theta for s in solutions]))
@@ -787,7 +758,6 @@ def find_all(
     )
     return SolveReport(
         classes=classes,
-        labeled_count=4 * len(classes),
         parity=parity,
         all_transverse=all_transverse,
         degeneracy_flags=flags,

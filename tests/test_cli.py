@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import squarepeg
 from squarepeg import curve_from_json_dict, residual
-from squarepeg.cli import main
+from squarepeg.cli import build_parser, main
 
 from conftest import three_lobe_curve
 
@@ -89,6 +90,35 @@ def test_find_malformed_curve_names_field(curve_file, tmp_path, capsys):
     code = main(["find", "--curve", bad, "--json", str(tmp_path / "r.json")])
     assert code == 1
     assert "coords" in capsys.readouterr().err
+
+
+def _coords(first):
+    """Explicit-form ellipse JSON whose first coordinate entry is ``first``."""
+    return {"dim": 2, "coords": [first, {"a0": 0, "cos": [0], "sin": [1]}]}
+
+
+@pytest.mark.parametrize(
+    "payload,fieldname",
+    [
+        (_coords({"a0": 0, "cos": 1, "sin": [0]}), "coords[0].cos"),
+        # a string is iterable, so it used to parse as the coefficients [2, 0]
+        (_coords({"a0": 0, "cos": "20", "sin": [0]}), "coords[0].cos"),
+        (_coords({"a0": 0, "cos": [2], "sin": [True]}), "coords[0].sin"),
+        (_coords({"a0": None, "cos": [2], "sin": [0]}), "coords[0].a0"),
+        # used to truncate to dim 2
+        ({**_coords({"a0": 0, "cos": [2], "sin": [0]}), "dim": 2.7}, "'dim'"),
+        ({"type": "ellipse", "a": None, "b": 1}, "'a'"),
+        ({"type": "ellipse", "a": [2], "b": 1}, "'a'"),
+        # a JSON integer too large for a float raised OverflowError
+        ({"type": "ellipse", "a": 10**400, "b": 1}, "'a'"),
+    ],
+)
+def test_find_mistyped_curve_field_exits_1(curve_file, tmp_path, capsys, payload, fieldname):
+    code = main(["find", "--curve", curve_file(payload), "--json", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert fieldname in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -243,3 +273,49 @@ def test_invalid_solver_flag_exits_1(curve_file, tmp_path, capsys, flag, value, 
     assert code == 1
     assert field in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_public_api_is_pinned(curve_file, capsys):
+    # growing any of these needs a reason in CHANGES.md; update this test with it
+    assert squarepeg.__all__ == [
+        "Config4", "ContinuationTrace", "Curve", "EquivalenceReport", "QuadMeasurements",
+        "Solution", "SolveReport", "SolverOptions", "Stratum", "TrackEvent", "Variation4",
+        "block_cycle_orientation_sign", "canonical_theta", "class_distance",
+        "curve_from_json_dict", "cyclic_relabel", "direction", "ellipse_basis",
+        "ellipse_dg_matrix", "ellipse_square", "ellipse_square_angles", "equivalence_harness",
+        "errors", "f_hat", "f_map", "find_all", "g_directional_derivative", "g_map",
+        "interpolate", "jacobian", "make_bent_rhombus", "make_ellipse", "measurements",
+        "mu_pushforward_dg_matrix", "mu_pushforward_nonplanar_dg_matrix", "newton_refine",
+        "nonplanar_basis", "nonplanar_dg_matrix", "ordered_component_check", "perturb",
+        "quotient_dedup", "ratio", "regularity_and_embedding_check", "residual", "s_ratio",
+        "seed_grid", "strata_proximity", "track",
+    ]  # fmt: skip
+
+    # each subcommand's flags and their defaults
+    solver = {"--grid": 24, "--tol": 1e-12, "--dedup-eps": 1e-6, "--sep-guard": 1e-3,
+              "--det-threshold": 1e-8, "--max-iters": 50}  # fmt: skip
+    expected = {
+        "find": {"--curve": None, **solver, "--json": None, "--svg": None, "--csv": None},
+        "verify-ellipse": {"--a": None, "--b": None, "--json": None},
+        "equivalence": {"--trials": 1000, "--seed": 1, "--json": None},
+        "track": {"--curve": None, "--target": None, "--steps": 64, **solver, "--json": None},
+        "strata-report": {"--curve": None, **solver, "--json": None},
+    }
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    flags = {
+        name: {a.option_strings[-1]: a.default for a in sub._actions if a.dest != "help"}
+        for name, sub in commands.items()
+    }
+    assert flags == expected
+    assert [list(f) for f in flags.values()] == [list(f) for f in expected.values()]
+
+    # the find report's keys, top level and options
+    assert main(["find", "--curve", curve_file(ELLIPSE)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == [
+        "curve_hash", "options", "size_floor", "classes", "labeled_count", "parity", "flags",
+        "timings",
+    ]  # fmt: skip
+    assert list(report["options"]) == [
+        "grid", "tol_residual", "max_iters", "dedup_radius", "sep_guard", "det_threshold",
+    ]  # fmt: skip

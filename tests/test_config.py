@@ -161,6 +161,20 @@ def test_strata_proximity_total_collapse():
     assert s.codim == 1
 
 
+@pytest.mark.parametrize(
+    "pts,label",
+    [
+        # 1-2 and 2-3 within eps, 1-3 not: single linkage joins all three
+        ([[0, 0], [8e-4, 0], [1.6e-3, 0], [1, 1]], "(123)"),
+        # the chain 1-4-2 runs through the largest label
+        ([[0, 0], [1.6e-3, 0], [1, 1], [8e-4, 0]], "(124)"),
+    ],
+)
+def test_strata_proximity_chain(pts, label):
+    s = strata_proximity(Config4(pts), scale=1.0, eps=1e-3)
+    assert (s.label, s.codim) == (label, 1)
+
+
 def test_strata_proximity_rigid_motion_invariant():
     rng = np.random.default_rng(2)
     pts = np.array([[0, 0], [1, 0], [1e-9, 0], [1, 1e-9]], dtype=float)

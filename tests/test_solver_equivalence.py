@@ -1,11 +1,11 @@
 """The solver's whole-array bookkeeping against plain reference implementations.
 
-Each reference is the straightforward form of the rule: a canonical
-rotation by ``np.roll`` tested for order, the class distance as a loop over
-the four cyclic shifts, single linkage from a double loop over it and a
-union-find, Newton damping that halves the step one fraction at a time, and
-residual minima read off a dense n^4 array.  The solver must agree with them
-exactly.
+Each reference is the straightforward form of the rule: each row rotated by
+``np.roll`` to its smallest angle and tested for order, the class distance
+as a loop over the four cyclic shifts, single linkage from a double loop
+over it and a union-find, Newton damping that halves the step one fraction
+at a time, and residual minima read off a dense n^4 array.  The solver must
+agree with them exactly.
 """
 
 import numpy as np
@@ -16,10 +16,12 @@ from squarepeg import (
     canonical_theta,
     class_distance,
     make_ellipse,
+    ordered_component_check,
     perturb,
     seed_grid,
 )
 from squarepeg import solver
+from squarepeg.config import _ordered_batch
 from squarepeg.solver import (
     _STATUS_CONVERGED,
     _STATUS_DIVERGED,
@@ -33,7 +35,6 @@ from squarepeg.solver import (
     _index_tables,
     _lattice_minima,
     _newton_batch,
-    _ordered_batch,
     _representatives,
     _squared_distances,
 )
@@ -62,8 +63,13 @@ def class_distance_reference(t1, t2):
 
 
 def ordered_reference(thetas):
-    """Rows whose canonical rotation (smallest angle first) strictly increases."""
-    return np.all(np.diff(_canonical_batch(thetas), axis=1) > 0, axis=1)
+    """Rows whose rotation to start at their smallest angle, after reduction
+    mod 2pi, strictly increases; one row at a time."""
+    out = []
+    for row in np.asarray(thetas, dtype=float).reshape(-1, 4):
+        th = np.mod(row, TWO_PI)
+        out.append(bool(np.all(np.diff(np.roll(th, -int(np.argmin(th)))) > 0.0)))
+    return np.array(out, dtype=bool)
 
 
 def test_canonical_rotation_matches_reference():
@@ -93,14 +99,23 @@ def test_ordered_batch_matches_canonical_rotation_rule():
             [1.0, 1.0, 1.0, 1.0],
             [np.nan, 1.0, 2.0, 3.0],
             [0.0, 1.0, np.inf, 3.0],
+            [-np.inf, 1.0, 2.0, 3.0],
+            [-1.0, -0.5, 0.5, 1.0],
+            [-TWO_PI, 1.0, 2.0, 3.0],
+            [TWO_PI, 0.0, 1.0, 2.0],
+            [3.0, 2.0, 1.0, 0.0],
         ]
     )
     thetas = np.concatenate([spread, ties, near, special])
     with np.errstate(invalid="ignore"):  # inf mod 2pi is nan
         got, expected = _ordered_batch(thetas), ordered_reference(thetas)
+        # the public check is a one-row call of the same rule
+        public = [ordered_component_check(th) for th in special]
     assert len(thetas) >= 100_000
     assert np.array_equal(got, expected)
     assert 0.05 < got.mean() < 0.95
+    assert public == expected[-len(special) :].tolist()
+    assert public == [True, True, False, False, False, False, False, True, True, False, False]
 
 
 def test_class_distance_matrix_matches_class_distance():
@@ -248,10 +263,11 @@ def newton_batch_reference(curve, seeds, opts):
         improved = np.ones(len(idx), dtype=bool)
         improved[live] = False
         converged[idx] = norms[idx] < opts.tol_residual
-        active[idx] = improved & ordered_reference(thetas[idx])
+        # the order rule itself is pinned by the test against ordered_reference
+        active[idx] = improved & _ordered_batch(thetas[idx])
     status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
     status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
-    status[~ordered_reference(thetas)] = _STATUS_LEFT_ORDERED
+    status[~_ordered_batch(thetas)] = _STATUS_LEFT_ORDERED
     return thetas, norms, status, used_singular
 
 
