@@ -174,8 +174,11 @@ def strata_proximity(c: Config4, scale: float, eps: float = 1e-3) -> Stratum:
     Single-linkage clustering on the pairwise distances; only one level of
     grouping is reported (no nested collapse rates).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    # the comparisons are False for nan, so each also rejects it
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     labels = _component_labels(4, *np.nonzero(c._dists < eps * scale))
     return Stratum.from_clusters(
         [(np.flatnonzero(labels == lab) + 1).tolist() for lab in np.unique(labels)]

@@ -73,20 +73,6 @@ def _dots_to_dnum_den() -> np.ndarray:
 _DOTS_TO_DNUM_DEN = _dots_to_dnum_den()
 _PAIR_IJ = np.concatenate([_PAIR_I, _PAIR_J])
 
-#: column pairs of the 2x2 minors
-_COL_PAIRS = list(itertools.combinations(range(4), 2))
-_MINOR_A, _MINOR_B = np.array(_COL_PAIRS).T
-#: cofactor expansion for column i: row i holds the columns k != i and the
-#: indices of the column pairs that i and k leave
-_EXPAND_COL, _EXPAND_PAIR = np.array(
-    [
-        [(k, _COL_PAIRS.index(tuple(sorted({0, 1, 2, 3} - {i, k})))) for k in range(4) if k != i]
-        for i in range(4)
-    ]
-).transpose(2, 0, 1)
-#: cofactor signs (-1)^(i + j), row j, column i
-_COFACTOR_SIGNS = (-1.0) ** (np.arange(4)[:, None] + np.arange(4))[..., None]
-
 #: Newton step fractions 2^-k, k = 0..10, in the two blocks that the line
 #: search evaluates in one kernel call each: the full step, which most rows
 #: take, then all ten halvings at once; shaped to broadcast against (rows, 4)
@@ -431,6 +417,8 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     that halving one fraction at a time accepts.  A seed stops when it
     converges, when no fraction decreases the residual, or when its iterate
     leaves the ordered component, which gives it ``_STATUS_LEFT_ORDERED``.
+    A seed whose residual is not finite (coincident or non-finite points)
+    has no Jacobian to step with and never starts.
     A seed is flagged once any of its Jacobians fails the determinant
     regularity test.
     """
@@ -439,7 +427,7 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     pts = _points_at(curve, thetas)
     res, norms, min_sep, _ = _kernel(pts, curve.diameter)
     converged = norms < opts.tol_residual
-    active = np.ones(m, dtype=bool)
+    active = np.isfinite(norms)
     used_singular = np.zeros(m, dtype=bool)
     for _ in range(opts.max_iters):
         idx = np.flatnonzero(active & ~converged)
@@ -480,102 +468,24 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     return thetas, norms, status, used_singular
 
 
-def _cofactors(jac: np.ndarray):
-    """Cofactor matrices and determinants of a batch-last (4, 4, m) stack.
-
-    Laplace expansion by complementary minors: the 2x2 minors of rows (0, 1)
-    and of rows (2, 3) on the six column pairs are formed once.  Cofactor
-    C[j, i] expands the 3x3 left by row j and column i along the other row
-    of j's pair, which sits first or last of the three and so adds no sign,
-    against the minors of the other pair; det is row 0 against its
-    cofactors.  Each row of cofactors takes one product of gathered (4, 3, m)
-    expansion terms, so every operation runs on whole rows of length m.
-    """
-    minors = [
-        top[_MINOR_A] * bottom[_MINOR_B] - top[_MINOR_B] * bottom[_MINOR_A]
-        for top, bottom in (jac[:2], jac[2:])
-    ]
-    cof = np.empty_like(jac)
-    for j in range(4):
-        terms = jac[j ^ 1][_EXPAND_COL] * minors[1 - j // 2][_EXPAND_PAIR]
-        np.multiply(terms[:, 0] - terms[:, 1] + terms[:, 2], _COFACTOR_SIGNS[j], out=cof[j])
-    return cof, np.einsum("im,im->m", jac[0], cof[0])
-
-
 def _newton_step(jac: np.ndarray, res: np.ndarray):
     """Newton steps -J^-1 r for a batch-last (4, 4, m) Jacobian and (4, m) residual.
 
     Returns the (m, 4) steps and the mask of rows that pass the regularity
-    test |det| > 1e-10 max|J_ij|^4.  A row takes the closed form
-    -adj(J) r / det when it is regular or when ||J||_F ||adj J||_F <
-    1e10 |det|: that bounds cond_2(J) <= cond_F(J) < 1e10, so no singular
-    value falls below 1e-10 sigma_max and pinv(J, rcond=1e-10) is exactly
-    J^-1.  The other, numerically rank-deficient rows take the closed-form
-    minimum-norm step of ``_rank3_step`` where it is proven to match the
-    pseudo-inverse (Gauss-Newton) step, and only the rest pay for the SVD
-    of ``np.linalg.pinv``.
+    test |det| > 1e-10 max|J_ij|^4.  Regular rows take LAPACK's LU solve;
+    every other row takes the minimum-norm (Gauss-Newton) step
+    -pinv(J, rcond=1e-10) r.
     """
-    cof, det = _cofactors(jac)
-    # rows of a degenerate seed may hold inf or nan; they fail every test
-    with np.errstate(all="ignore"):
-        scale = np.maximum(jac.max(axis=(0, 1)), -jac.min(axis=(0, 1)))
-        regular = np.abs(det) > 1e-10 * scale**4
-        size = np.einsum("jim,jim->m", jac, jac) * np.einsum("jim,jim->m", cof, cof)
-        step = _solve(jac, cof, det, res)
-        rest = np.flatnonzero(~(regular | (size < 1e20 * det * det)))
-        if rest.size:
-            step[:, rest], proven = _rank3_step(jac[..., rest], cof[..., rest], res[:, rest])
-            rest = rest[~proven]
-    if rest.size:
-        pinv = np.linalg.pinv(jac[..., rest].transpose(2, 0, 1), rcond=1e-10)
-        step[:, rest] = np.matmul(pinv, -res[:, rest].T[..., None])[..., 0].T
-    return step.T, regular
-
-
-def _solve(jac: np.ndarray, cof: np.ndarray, det: np.ndarray, res: np.ndarray):
-    """-J^-1 r as -adj(J) r / det plus one step of iterative refinement.
-
-    The adjugate alone loses accuracy faster than LU as J nears singularity
-    (2e-8 against 1e-11 relative at cond 1e6); one refinement with the same
-    cofactors brings it back to LU's accuracy.
-    """
-    step = np.einsum("jim,jm->im", cof, res) / -det
-    lin_res = res + np.einsum("jim,im->jm", jac, step)
-    return step + np.einsum("jim,jm->im", cof, lin_res) / -det
-
-
-def _rank3_step(jac: np.ndarray, cof: np.ndarray, res: np.ndarray):
-    """Minimum-norm steps -pinv(J) r on batch-last rows of rank 3.
-
-    For rank 3, adj J = c n w^T with unit n spanning null(J) and w spanning
-    null(J^T); the row and the column of the cofactor matrix through its
-    largest entry give them.  With s = ||J||_F, M = J + s w n^T is regular
-    and pinv(J) = M^-1 - n w^T / s exactly, M^-1 coming from M's cofactors.
-    Returns the (4, m) steps and the mask of rows where they provably match
-    pinv(J, rcond=1e-10).  There rho = ||J n|| + ||w^T J|| + 1e-15 ||J||_F
-    (the margin covers rounding) is at most 1e-11 |det M| / ||adj M||_F, and
-    |det M| / ||adj M||_F <= sigma_min(M) <= sigma_3(J) because J is a rank-
-    one change of M.  As sigma_4 <= ||J n||, that gives sigma_4 <= 1e-11
-    sigma_3, which pinv drops, and sigma_3 >= 1e-4 ||J||_F, which it keeps;
-    n and w lie within rho / sigma_3 <= 1e-11 of the null spaces, which puts
-    the step within about 2e-11 ||pinv(J)|| ||r|| of pinv's.
-    """
-    m = jac.shape[-1]
-    rows = np.arange(m)
-    j, i = divmod(np.abs(cof).reshape(16, m).argmax(axis=0), 4)
-    by_row = cof.transpose(2, 0, 1)
-    n, w = by_row[rows, j].T, by_row[rows, :, i].T
-    n /= np.sqrt(np.einsum("im,im->m", n, n))
-    w /= np.sqrt(np.einsum("jm,jm->m", w, w))
-    s = np.sqrt(np.einsum("jim,jim->m", jac, jac))
-    aug = jac + s * w[:, None] * n[None, :]
-    aug_cof, aug_det = _cofactors(aug)
-    step = _solve(aug, aug_cof, aug_det, res) + n * (np.einsum("jm,jm->m", w, res) / s)
-    jn = np.einsum("jim,im->jm", jac, n)
-    wj = np.einsum("jim,jm->im", jac, w)
-    rho = np.sqrt(np.einsum("jm,jm->m", jn, jn)) + np.sqrt(np.einsum("im,im->m", wj, wj))
-    sigma_min = np.abs(aug_det) / np.sqrt(np.einsum("jim,jim->m", aug_cof, aug_cof))
-    return step, rho + 1e-15 * s <= 1e-11 * sigma_min
+    mats = jac.transpose(2, 0, 1)
+    rhs = -res.T[..., None]
+    det = np.linalg.det(mats)
+    regular = np.abs(det) > 1e-10 * np.abs(mats).max(axis=(1, 2)) ** 4
+    step = np.empty_like(rhs)
+    step[regular] = np.linalg.solve(mats[regular], rhs[regular])
+    rest = ~regular
+    if rest.any():
+        step[rest] = np.linalg.pinv(mats[rest], rcond=1e-10) @ rhs[rest]
+    return step[..., 0], regular
 
 
 def _certify(jac: np.ndarray, opts: SolverOptions):
@@ -586,7 +496,7 @@ def _certify(jac: np.ndarray, opts: SolverOptions):
     times the largest and |det| exceeds ``opts.det_threshold`` times the
     product of the row norms.
     """
-    det = _cofactors(jac)[1]
+    det = np.linalg.det(jac.transpose(2, 0, 1))
     rows = np.linalg.norm(jac, axis=1)
     top = rows.max(axis=0)
     scaled = (top > 0.0) & (rows.min(axis=0) > ROW_FLOOR * top)

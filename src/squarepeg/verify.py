@@ -260,8 +260,11 @@ def equivalence_harness(trials: int, seed: int) -> EquivalenceReport:
 
 
 def _check_axes(a: float, b: float) -> None:
-    if not (a > b > 0):
-        raise ValueError(f"need a > b > 0 (a circle has no isolated square); got a={a}, b={b}")
+    # the comparisons are False for nan, so this also rejects it
+    if not (np.inf > a > b > 0):
+        raise ValueError(
+            f"need finite a > b > 0 (a circle has no isolated square); got a={a}, b={b}"
+        )
 
 
 def _dg_matrix(c: Config4, basis) -> np.ndarray:

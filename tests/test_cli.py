@@ -163,6 +163,14 @@ def test_verify_ellipse_rejects_circle(capsys):
     assert main(["verify-ellipse", "--a", "1", "--b", "1"]) == 1
 
 
+@pytest.mark.parametrize("a", ["inf", "nan"])
+def test_verify_ellipse_rejects_non_finite_axis(a, capsys):
+    assert main(["verify-ellipse", "--a", a, "--b", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite a > b > 0" in captured.err
+
+
 def test_equivalence_command(capsys):
     code = main(["equivalence", "--trials", "50", "--seed", "3"])
     assert code == 0

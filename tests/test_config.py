@@ -184,6 +184,24 @@ def test_strata_proximity_rigid_motion_invariant():
     assert strata_proximity(moved, scale=1.0, eps=1e-3).label == "(13)(24)"
 
 
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"scale": np.nan}, "scale"),
+        ({"scale": np.inf}, "scale"),
+        ({"scale": 0.0}, "scale"),
+        ({"scale": 1.0, "eps": np.nan}, "eps"),
+        ({"scale": 1.0, "eps": np.inf}, "eps"),
+        ({"scale": 1.0, "eps": -1.0}, "eps"),
+    ],
+)
+def test_strata_proximity_rejects_bad_scale_and_eps(kwargs, match):
+    c = Config4([[0, 0], [1e-9, 0], [1, 1], [0, 1]])
+    assert strata_proximity(c, scale=1.0).label == "(12)"
+    with pytest.raises(ValueError, match=f"{match} must be finite"):
+        strata_proximity(c, **kwargs)
+
+
 def test_stratum_from_clusters_drops_singletons():
     s = Stratum.from_clusters([[1], [2, 4], [3]])
     assert s.label == "(24)"

@@ -192,97 +192,55 @@ def count_rows(monkeypatch, owner, name, axis):
     return rows
 
 
-def test_newton_step_matches_solve_on_well_conditioned_rows():
+def test_newton_step_matches_solve_on_well_conditioned_rows(monkeypatch):
+    # regular rows take the LU solve: a pinv step costs about 4x as much
     rng = np.random.default_rng(31)
     n = 500
     scale = 10.0 ** rng.uniform(-3, 3, size=n)
     jac = matrices_with_singular_values(rng, rng.uniform(0.5, 2.0, size=(n, 4)))
     jac *= scale[:, None, None]
     res = rng.normal(size=(n, 4))
+    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
     step, regular = newton_step_batch_first(jac, res)
     expected = np.linalg.solve(jac, -res[..., None])[..., 0]
     rel = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert regular.all()
     assert rel.max() < 1e-12
+    assert rows == []
 
 
 def test_newton_step_matches_pinv_on_rank_deficient_rows(unit_circle):
     rng = np.random.default_rng(32)
     # circle Jacobians: rotating all four angles together is a null direction
-    circle = [
-        jacobian(unit_circle, np.sort(rng.uniform(0, TWO_PI, size=4))) for _ in range(6)
-    ]
-    for jac in circle:
-        assert np.abs(jac @ np.ones(4)).max() < 1e-12 * np.abs(jac).max()
-    near = matrices_with_singular_values(rng, [[1.0, 0.7, 0.4, 1e-11]] * 6)
-    jac = np.concatenate([np.array(circle), near])
-    res = rng.normal(size=(len(jac), 4))
-    step, regular = newton_step_batch_first(jac, res)
-    expected = pinv_step(jac, res)
-    assert not regular.any()
-    assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def test_newton_step_closed_form_on_ill_conditioned_rows(monkeypatch):
-    # sigma_min / sigma_max = 1e-6: det fails the 1e-10 max|J_ij|^4 test, but
-    # cond_F < 1e10 proves pinv(J, rcond=1e-10) = J^-1, so no SVD is needed
-    rng = np.random.default_rng(33)
-    jac = matrices_with_singular_values(rng, [[1.0, 1e-4, 1e-4, 1e-6]] * 50)
-    res = rng.normal(size=(50, 4))
-    expected = pinv_step(jac, res)
-
-    def no_pinv(*args, **kwargs):
-        raise AssertionError("pinv called on a row with cond_F < 1e10")
-
-    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
-    step, regular = newton_step_batch_first(jac, res)
-    rel = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
-    assert not regular.any()
-    assert rel.max() < 1e-8
-
-
-def test_newton_step_rank3_rows_take_closed_form(unit_circle, monkeypatch):
-    # rank-3 rows whose sigma_3 is well above rounding take J + s w n^T with
-    # the null vectors n, w from the adjugate instead of an SVD
-    rng = np.random.default_rng(34)
     circle = np.array(
         [jacobian(unit_circle, np.sort(rng.uniform(0, TWO_PI, size=4))) for _ in range(300)]
     )
-    sigma = np.linalg.svd(circle, compute_uv=False)
-    circle = circle[sigma[:, 2] >= 1e-2 * sigma[:, 0]]
+    assert (np.abs(circle @ np.ones(4)).max(axis=1) < 1e-12 * np.abs(circle).max(axis=(1, 2))).all()
+    sigmas = (
+        [[1.0, 0.7, 0.4, 1e-11]] * 20
+        + [[1.0, 1e-4, 1e-4, 1e-6]] * 50
+        + [[1.0, 1.0, 1e-5, 0.0]] * 20
+    )
     rank3 = matrices_with_singular_values(rng, [[1.0, 0.5, 1e-2, 0.0]] * 100)
-    jac = np.concatenate([circle, rank3 * 10.0 ** rng.uniform(-3, 3, size=(100, 1, 1))])
-    res = rng.normal(size=(len(jac), 4))
-    pinv = np.linalg.pinv(jac, rcond=1e-10)
-    expected = np.matmul(pinv, -res[..., None])[..., 0]
-
-    def no_pinv(*args, **kwargs):
-        raise AssertionError("pinv called on a provably rank-3 row")
-
-    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
-    step, regular = newton_step_batch_first(jac, res)
-    scale = np.linalg.norm(pinv, ord=2, axis=(1, 2)) * np.linalg.norm(res, axis=1)
-    assert len(circle) > 100
-    assert not regular.any()
-    assert (np.linalg.norm(step - expected, axis=1) <= 1e-10 * scale).all()
-
-
-def test_newton_step_unproven_rank3_rows_use_pinv(monkeypatch):
-    # sigma_4 = 1e-11 is dropped by pinv but too close to sigma_3 = 0.4 for
-    # the closed form to be proven within 1e-11, and sigma_3 = 1e-5 is too
-    # small against ||J||_F; on the diagonal rows n and w are exact, but
-    # pinv also drops sigma_3 = 1e-11.  These rows keep the SVD
-    rng = np.random.default_rng(35)
-    sigmas = [[1.0, 0.7, 0.4, 1e-11]] * 20 + [[1.0, 1.0, 1e-5, 0.0]] * 20
     diagonal = np.array(
         [np.diag([1.0, 1.0, 1e-11, 0.0])[list(p)] for p in itertools.permutations(range(4))]
     )
-    jac = np.concatenate([matrices_with_singular_values(rng, sigmas), diagonal])
+    jac = np.concatenate(
+        [
+            circle,
+            matrices_with_singular_values(rng, sigmas),
+            rank3 * 10.0 ** rng.uniform(-3, 3, size=(100, 1, 1)),
+            diagonal,
+        ]
+    )
     res = rng.normal(size=(len(jac), 4))
-    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
-    step, _ = newton_step_batch_first(jac, res)
-    assert rows == [len(jac)]
-    assert np.allclose(step, pinv_step(jac, res), rtol=1e-13, atol=0)
+    step, regular = newton_step_batch_first(jac, res)
+    expected = pinv_step(jac, res)
+    scale = np.linalg.norm(np.linalg.pinv(jac, rcond=1e-10), ord=2, axis=(1, 2))
+    assert not regular.any()
+    assert (
+        np.linalg.norm(step - expected, axis=1) <= 1e-12 * scale * np.linalg.norm(res, axis=1)
+    ).all()
 
 
 def test_seed_grid_minimal():
@@ -356,6 +314,10 @@ def test_newton_refine_error_paths(ellipse21):
     # this seed converges onto a reversed (clockwise) root
     with pytest.raises(LeftOrderedComponent):
         newton_refine(ellipse21, [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+    # coincident points: the seed has no finite residual, so Newton never starts
+    with pytest.raises(Divergence) as info:
+        newton_refine(ellipse21, [0, 1e-12, 2, 4])
+    assert type(info.value) is Divergence
 
 
 def test_newton_refine_singular_jacobian_during_iteration(unit_circle):
@@ -406,15 +368,6 @@ def test_line_search_makes_at_most_two_trial_calls_per_iteration(ellipse21, monk
     assert len(np.unique(_cluster_labels(canon, 1e-6))) == 1
     assert len(runs) > 10
     assert max(len(r) for r in runs) == 2
-
-
-def test_circle_rows_avoid_pinv(unit_circle, monkeypatch):
-    # every circle Jacobian has rank 3 (rotating all four angles is a null
-    # direction); nearly all rows take the closed-form minimum-norm step
-    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
-    report = find_all(unit_circle)
-    assert report.parity == "withheld"
-    assert sum(rows) < 1_000
 
 
 def golden_curves() -> dict:
@@ -567,6 +520,20 @@ def test_find_all_extra_seeds(ellipse21):
         ellipse21, SolverOptions(grid=4), extra_seeds=[ellipse_square_angles(2, 1)]
     )
     assert len(report.classes) == 1
+
+
+@pytest.mark.parametrize(
+    "seed", [[0, 0, 1, 2], [0, 1, 1, 3], [np.nan, 1, 2, 3], [0, 1, 2, np.inf]]
+)
+def test_find_all_skips_degenerate_extra_seed(ellipse21, seed):
+    # coincident or non-finite angles have no residual to step from
+    expected = find_all(ellipse21)
+    report = find_all(ellipse21, extra_seeds=[seed])
+    assert (report.parity, report.degeneracy_flags) == (expected.parity, expected.degeneracy_flags)
+    assert len(report.classes) == len(expected.classes) == 1
+    for got, want in zip(report.classes, expected.classes):
+        assert np.array_equal(got.theta, want.theta)
+        assert (got.jac_det, got.transverse) == (want.jac_det, want.transverse)
 
 
 def wiggly8() -> Curve:

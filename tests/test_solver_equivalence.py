@@ -234,7 +234,7 @@ def newton_batch_reference(curve, seeds, opts):
     pts = solver._points_at(curve, thetas)
     res, norms, min_sep, _ = solver._kernel(pts, curve.diameter)
     converged = norms < opts.tol_residual
-    active = np.ones(m, dtype=bool)
+    active = np.isfinite(norms)
     used_singular = np.zeros(m, dtype=bool)
     for _ in range(opts.max_iters):
         idx = np.flatnonzero(active & ~converged)
