@@ -121,9 +121,10 @@ def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
     That is so iff three of the four cyclic differences of the reduced
     angles are positive: the fourth is then negative, and the rotation
     starting after it is strictly increasing.  A nan difference is not
-    positive, so a nan row is not ordered.
+    positive, so a nan row, or one with an infinite angle, is not ordered.
     """
-    th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
+    with np.errstate(invalid="ignore"):
+        th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
     return np.count_nonzero(th[:, [1, 2, 3, 0]] - th > 0.0, axis=1) == 3
 
 

@@ -73,13 +73,9 @@ def _dots_to_dnum_den() -> np.ndarray:
 _DOTS_TO_DNUM_DEN = _dots_to_dnum_den()
 _PAIR_IJ = np.concatenate([_PAIR_I, _PAIR_J])
 
-#: Newton step fractions 2^-k, k = 0..10, in the two blocks that the line
-#: search evaluates in one kernel call each: the full step, which most rows
-#: take, then all ten halvings at once; shaped to broadcast against (rows, 4)
-#: steps
-_HALVING_BLOCKS = tuple(
-    np.ldexp(1.0, -np.array(ks))[:, None, None] for ks in ((0,), tuple(range(1, 11)))
-)
+#: Newton step fractions 2^-k, k = 1..10, tried in one kernel call by the rows
+#: that the full step does not improve; shaped to broadcast against (rows, 4) steps
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 11))[:, None, None]
 
 #: delta: the smallest vertex separation, over the curve diameter, of the
 #: squares that the default short-arc windows were sized for.  A design
@@ -181,6 +177,13 @@ def _tangents_at(curve: Curve, thetas: np.ndarray) -> np.ndarray:
     return curve.deriv(thetas.reshape(-1)).reshape(m, 4, curve.dim)
 
 
+def _pair_squares(pts: np.ndarray):
+    """(m, 4, k) points -> (k, 6, m) pair differences and (6, m) squared lengths."""
+    coords = np.ascontiguousarray(pts.T)
+    diff = coords[:, _PAIR_I] - coords[:, _PAIR_J]
+    return diff, (diff * diff).sum(0)
+
+
 def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
     """Residual, sup-norms, min separation and (given tangents) Jacobian.
 
@@ -194,9 +197,7 @@ def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
     Rows whose configuration is numerically degenerate get +inf norm instead
     of raising, so the damped line search can simply reject them.
     """
-    coords = np.ascontiguousarray(pts.T)
-    diff = coords[:, _PAIR_I] - coords[:, _PAIR_J]
-    sq = (diff * diff).sum(0)
+    diff, sq = _pair_squares(pts)
     min_sep = np.sqrt(sq.min(axis=0))
     nd = _NUM_DEN @ sq
     num, den = nd[:4], nd[4:]
@@ -267,14 +268,15 @@ def _combinations(n: int) -> np.ndarray:
 
 @functools.cache
 def _index_tables(n: int):
-    """Sorted index 4-tuples of n samples and their +-1 neighbours.
+    """Sorted index 4-tuples of n samples, their +-1 neighbours and pair rows.
 
     Row r of the (C(n, 4), 4) tuple table is the combination (a, b, c, d)
     of colex rank r = C(a, 1) + C(b, 2) + C(c, 3) + C(d, 4).  Row r of the
     (C(n, 4), 8) neighbour table holds the ranks of the tuples that move
     one index of row r by +1 or -1, or C(n, 4) where the move leaves the
-    strictly increasing tuples of 0..n-1.  Both are built once per n and
-    returned read-only; no n^4 array is formed.
+    strictly increasing tuples of 0..n-1.  Row p of the (6, C(n, 4)) pair
+    table holds i * n + j for pair p = (i, j) of each tuple.  All three are
+    built once per n and returned read-only; no n^4 array is formed.
     """
     combos = _combinations(n)
     # binom[x, p] = C(x, p + 1), the rank term of index x in slot p
@@ -293,9 +295,10 @@ def _index_tables(n: int):
             np.where(tuples - 1 > below, rank + binom[tuples - 1, slots], count),
         ]
     )
-    for table in (tuples, neighbours):
+    pair_rows = tuples[:, _PAIR_I].T * n + tuples[:, _PAIR_J].T
+    for table in (tuples, neighbours, pair_rows):
         table.flags.writeable = False
-    return tuples, neighbours
+    return tuples, neighbours, pair_rows
 
 
 def _lattice_minima(sq: np.ndarray, threshold: float):
@@ -308,40 +311,36 @@ def _lattice_minima(sq: np.ndarray, threshold: float):
     Returns the rows of the tuple table and the table indices of the minima
     with norm below ``threshold``.
 
-    The first two residual components, s01 / s03 - 1 and s12 / s01 - 1,
-    are formed for every tuple; only the few where both are below the
-    threshold can be minima.  The full norm is formed for those, then once
-    for each distinct neighbour of the ones that pass, so every comparison
-    sees the same bits.
+    One pass: s01 / s03 - 1 is formed for every tuple, s12 / s01 - 1 where
+    that is below the threshold, and the full norm once where both are.  A
+    neighbour outside this prefilter reads +inf, exact as its norm is at
+    least the threshold, above any candidate's.  A nan norm needs a pair
+    distance that is 0 or not finite: every tuple of a table with one enters
+    the prefilter, so a nan neighbour still blocks its candidate.
     """
     n = sq.shape[0]
-    tuples, neighbours = _index_tables(n)
-    # row p holds the table row of pair p of each tuple
-    pair_rows = tuples[:, _PAIR_I].T * n + tuples[:, _PAIR_J].T
+    tuples, neighbours, pair_rows = _index_tables(n)
     table = sq.reshape(n * n, -1)
     width = table.shape[1]
-
-    def norms(ids):
+    upper = sq[np.triu_indices(n, 1)]
+    exact = ~np.all((upper > 0) & (upper < np.inf), axis=0)
+    s01, s03 = table[pair_rows[:2]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ids = np.flatnonzero((np.abs(s01 / s03 - G_TARGET[0]) < threshold) | exact)
+        rows, cols = np.divmod(ids, width)
+        near = np.abs(table[pair_rows[2, rows], cols] / s01.ravel()[ids] - G_TARGET[1])
+        ids = ids[(near < threshold) | exact[cols]]
         rows, cols = np.divmod(ids, width)
         nd = _NUM_DEN @ table.ravel()[pair_rows[:, rows] * width + cols]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(nd[:4] / nd[4:] - G_TARGET[:, None]).max(axis=0)
-
-    s01, s03, s12 = table[pair_rows[:3]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.abs(s01 / s03 - G_TARGET[0]) < threshold
-        near &= np.abs(s12 / s01 - G_TARGET[1]) < threshold
-    ids = np.flatnonzero(near)
-    ids = ids[norms(ids) < threshold]
-    rows, cols = np.divmod(ids, width)
-    nbr = neighbours[rows]
-    inside = nbr < len(tuples)
-    nbr_ids = (nbr * width + cols[:, None])[inside]
-    distinct, where = np.unique(np.concatenate([ids, nbr_ids]), return_inverse=True)
-    values = norms(distinct)
-    nbr_norms = np.full(nbr.shape, np.inf)
-    nbr_norms[inside] = values[where[len(ids) :]]
-    keep = np.all(values[where[: len(ids)], None] <= nbr_norms, axis=1)
+        values = np.abs(nd[:4] / nd[4:] - G_TARGET[:, None]).max(axis=0)
+    below = values < threshold
+    rows, cols = rows[below], cols[below]
+    if not rows.size:
+        return rows, cols
+    # norms by (tuple, table); the last block stands for the neighbour C(n, 4)
+    lookup = np.full((len(tuples) + 1) * width, np.inf)
+    lookup[ids] = values
+    keep = np.all(values[below, None] <= lookup[neighbours[rows] * width + cols[:, None]], axis=1)
     return rows[keep], cols[keep]
 
 
@@ -411,24 +410,24 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     Returns (thetas, residual sup-norms, status array, singular-fallback flags).
     The step comes from ``_newton_step``; damping takes the fraction 2^-k
     of it for the smallest k <= 10 that decreases the residual norm.  The
-    fractions are tried in the blocks of ``_HALVING_BLOCKS``, one kernel
-    call per block for every row still searching, and a row takes the
-    smallest k of the first block in which one decreases the norm: the k
-    that halving one fraction at a time accepts.  A seed stops when it
-    converges, when no fraction decreases the residual, or when its iterate
-    leaves the ordered component, which gives it ``_STATUS_LEFT_ORDERED``.
+    full step is tried first, in one kernel call for every row; the rows it
+    does not improve try all ten halvings in one more call, and a row takes
+    the smallest k that decreases its norm: the k that halving one fraction
+    at a time accepts.  A seed stops when it converges, when no fraction
+    decreases the residual, or when its iterate leaves the ordered
+    component, which gives it ``_STATUS_LEFT_ORDERED``.
     A seed whose residual is not finite (coincident or non-finite points)
     has no Jacobian to step with and never starts.
     A seed is flagged once any of its Jacobians fails the determinant
     regularity test.
     """
-    thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
-    m = thetas.shape[0]
+    with np.errstate(invalid="ignore"):
+        thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     pts = _points_at(curve, thetas)
-    res, norms, min_sep, _ = _kernel(pts, curve.diameter)
+    res, norms, _, _ = _kernel(pts, curve.diameter)
     converged = norms < opts.tol_residual
     active = np.isfinite(norms)
-    used_singular = np.zeros(m, dtype=bool)
+    used_singular = np.zeros(len(thetas), dtype=bool)
     for _ in range(opts.max_iters):
         idx = np.flatnonzero(active & ~converged)
         if not idx.size:
@@ -436,32 +435,32 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         _, _, _, jac = _kernel(pts[idx], curve.diameter, _tangents_at(curve, thetas[idx]))
         step, regular = _newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
-        # accepted trials overwrite their rows in place, points included
-        live = np.arange(len(idx))
-        for fractions in _HALVING_BLOCKS:
-            if not live.size:
-                break
-            rows = idx[live]
-            trial = np.mod(thetas[rows] + fractions * step[live], TWO_PI).reshape(-1, 4)
-            trial_pts = _points_at(curve, trial)
-            trial_res, trial_norm, trial_sep, _ = _kernel(trial_pts, curve.diameter)
-            better = trial_norm.reshape(len(fractions), -1) < norms[rows]
-            hit = better.any(axis=0)
-            pick = better.argmax(axis=0)[hit] * len(rows) + np.flatnonzero(hit)
-            done = rows[hit]
-            thetas[done] = trial[pick]
-            pts[done] = trial_pts[pick]
-            res[done] = trial_res[pick]
-            norms[done] = trial_norm[pick]
-            min_sep[done] = trial_sep[pick]
-            live = live[~hit]
-        improved = np.ones(len(idx), dtype=bool)
-        improved[live] = False
-        converged[idx] = norms[idx] < opts.tol_residual
-        # roots outside the ordered component are discarded, so a seed
-        # that leaves it is decided and stops here
-        active[idx] = improved & _ordered_batch(thetas[idx])
+        trial = np.mod(thetas[idx] + step, TWO_PI)
+        trial_pts = _points_at(curve, trial)
+        trial_res, trial_norm, _, _ = _kernel(trial_pts, curve.diameter)
+        tried = (trial, trial_pts, trial_res, trial_norm)
+        hit = trial_norm < norms[idx]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            rows = idx[miss]
+            halved = np.mod(thetas[rows] + _HALVINGS * step[miss], TWO_PI).reshape(-1, 4)
+            halved_pts = _points_at(curve, halved)
+            halved_res, halved_norm, _, _ = _kernel(halved_pts, curve.diameter)
+            better = halved_norm.reshape(len(_HALVINGS), -1) < norms[rows]
+            found = better.any(axis=0)
+            pick = better.argmax(axis=0)[found] * len(rows) + np.flatnonzero(found)
+            for mine, theirs in zip(tried, (halved, halved_pts, halved_res, halved_norm)):
+                mine[miss[found]] = theirs[pick]
+            hit[miss[found]] = True
+        moved = idx[hit]
+        for mine, theirs in zip((thetas, pts, res, norms), tried):
+            mine[moved] = theirs[hit]
+        converged[moved] = norms[moved] < opts.tol_residual
+        # roots off the ordered component are discarded, so a seed that leaves it stops
+        active[idx] = False
+        active[moved] = _ordered_batch(thetas[moved])
 
+    min_sep = np.sqrt(_pair_squares(pts)[1].min(axis=0))
     status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
     status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
     status[~_ordered_batch(thetas)] = _STATUS_LEFT_ORDERED
@@ -472,19 +471,19 @@ def _newton_step(jac: np.ndarray, res: np.ndarray):
     """Newton steps -J^-1 r for a batch-last (4, 4, m) Jacobian and (4, m) residual.
 
     Returns the (m, 4) steps and the mask of rows that pass the regularity
-    test |det| > 1e-10 max|J_ij|^4.  Regular rows take LAPACK's LU solve;
-    every other row takes the minimum-norm (Gauss-Newton) step
-    -pinv(J, rcond=1e-10) r.
+    test |det| > 1e-10 max|J_ij|^4.  Regular rows take LAPACK's LU solve,
+    in one call on the whole stack when every row is regular; every other
+    row takes the minimum-norm (Gauss-Newton) step -pinv(J, rcond=1e-10) r.
     """
     mats = jac.transpose(2, 0, 1)
     rhs = -res.T[..., None]
     det = np.linalg.det(mats)
     regular = np.abs(det) > 1e-10 * np.abs(mats).max(axis=(1, 2)) ** 4
+    if regular.all():
+        return np.linalg.solve(mats, rhs)[..., 0], regular
     step = np.empty_like(rhs)
     step[regular] = np.linalg.solve(mats[regular], rhs[regular])
-    rest = ~regular
-    if rest.any():
-        step[rest] = np.linalg.pinv(mats[rest], rcond=1e-10) @ rhs[rest]
+    step[~regular] = np.linalg.pinv(mats[~regular], rcond=1e-10) @ rhs[~regular]
     return step[..., 0], regular
 
 

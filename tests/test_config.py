@@ -109,8 +109,11 @@ def test_cyclic_relabel_preserves_square_likeness():
         ((5.0, 0.2, 1.1, 3.0), True),
         ((0.1, 2.0, 1.0, 3.0), False),
         ((0.0, 0.0, 1.0, 2.0), False),
+        ((0.0, 1.0, 2.0, np.inf), False),
+        ((np.nan, 1.0, 2.0, 3.0), False),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_ordered_component_check(angles, expected):
     assert ordered_component_check(angles) is expected
 

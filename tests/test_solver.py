@@ -243,6 +243,52 @@ def test_newton_step_matches_pinv_on_rank_deficient_rows(unit_circle):
     ).all()
 
 
+def newton_step_masked(jac, res):
+    """``_newton_step`` with every batch split by the regularity mask: the LU
+    solve on the regular rows, pinv on the rest."""
+    mats = jac.transpose(2, 0, 1)
+    rhs = -res.T[..., None]
+    det = np.linalg.det(mats)
+    regular = np.abs(det) > 1e-10 * np.abs(mats).max(axis=(1, 2)) ** 4
+    step = np.empty_like(rhs)
+    step[regular] = np.linalg.solve(mats[regular], rhs[regular])
+    rest = ~regular
+    if rest.any():
+        step[rest] = np.linalg.pinv(mats[rest], rcond=1e-10) @ rhs[rest]
+    return step[..., 0], regular
+
+
+def test_newton_step_all_regular_batch_matches_masked_route(ellipse21, monkeypatch):
+    # an all-regular batch takes one solve on the whole stack: same bits
+    rng = np.random.default_rng(33)
+    seeds = seed_grid(12)[rng.permutation(495)[:200]]
+    pts, tan = solver._points_at(ellipse21, seeds), solver._tangents_at(ellipse21, seeds)
+    res, _, _, jac = solver._kernel(pts, ellipse21.diameter, tan)
+    _, keep = newton_step_masked(jac, res.T)
+    jac, res = jac[..., keep], res[keep]
+    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
+    for m in (1, 2, 30, len(res)):
+        step, regular = _newton_step(jac[..., :m], res[:m].T)
+        expected, expected_regular = newton_step_masked(jac[..., :m], res[:m].T)
+        assert regular.all() and np.array_equal(regular, expected_regular)
+        assert np.array_equal(step, expected)
+    assert rows == []
+
+
+def test_newton_step_sends_only_rank_deficient_rows_to_pinv(monkeypatch):
+    rng = np.random.default_rng(34)
+    jac = matrices_with_singular_values(
+        rng, [[1.0, 0.8, 0.5, 0.3]] * 15 + [[1.0, 0.5, 1e-2, 0.0]] + [[2.0, 1.0, 0.7, 0.4]] * 14
+    )
+    res = rng.normal(size=(len(jac), 4))
+    rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
+    step, regular = newton_step_batch_first(jac, res)
+    assert rows == [1]
+    assert np.flatnonzero(~regular).tolist() == [15]
+    expected, _ = newton_step_masked(np.ascontiguousarray(jac.transpose(1, 2, 0)), res.T.copy())
+    assert np.array_equal(step, expected)
+
+
 def test_seed_grid_minimal():
     seeds = seed_grid(4)
     assert seeds.shape == (1, 4)
@@ -318,6 +364,13 @@ def test_newton_refine_error_paths(ellipse21):
     with pytest.raises(Divergence) as info:
         newton_refine(ellipse21, [0, 1e-12, 2, 4])
     assert type(info.value) is Divergence
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_refine_rejects_non_finite_seed(ellipse21):
+    # an infinite angle reduces to nan, which no rotation orders
+    with pytest.raises(ValueError, match="ordered component"):
+        newton_refine(ellipse21, [0, 1, 2, np.inf])
 
 
 def test_newton_refine_singular_jacobian_during_iteration(unit_circle):
@@ -522,6 +575,7 @@ def test_find_all_extra_seeds(ellipse21):
     assert len(report.classes) == 1
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "seed", [[0, 0, 1, 2], [0, 1, 1, 3], [np.nan, 1, 2, 3], [0, 1, 2, np.inf]]
 )

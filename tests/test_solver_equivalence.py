@@ -318,6 +318,33 @@ def dense_norms(sq):
     return np.where((i < j) & (j < k) & (k < l), norm, np.inf)
 
 
+def coincident_table(n):
+    """(n, n) squared distances of ellipse samples with sample 1 moved onto
+    sample 0, on the axis of mirror symmetry of the rest: the tuples
+    (0, 1, k, n - k) have s01 = 0 and s02 = s13, so their norm is 0/0 = nan."""
+    pts = make_ellipse(2, 1).eval(TWO_PI * np.arange(n) / n)
+    half = np.arange(1, n // 2)
+    pts[n - half] = pts[half] * [1.0, -1.0]
+    pts[1] = pts[0]
+    return _squared_distances(pts)
+
+
+def check_lattice_minima(sq, threshold):
+    """``_lattice_minima`` against the dense minima of each table; returns them."""
+    n = sq.shape[0]
+    rows, tables = _lattice_minima(sq, threshold)
+    assert rows.dtype == tables.dtype == np.intp
+    got = {(int(b), tuple(t)) for b, t in zip(tables, _index_tables(n)[0][rows].tolist())}
+    expected = set()
+    for b in range(sq.shape[-1]):
+        dense = dense_norms(sq[..., b])
+        for idx in _candidates(dense, extra_lowest=0):
+            if dense[tuple(idx)] < threshold:
+                expected.add((b, tuple(idx.tolist())))
+    assert got == expected
+    return got
+
+
 @pytest.mark.parametrize("threshold", [SEED_NORM, LATTICE_SEED_NORM, np.inf])
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("name", ["ellipse", "circle", "three-lobe", "wiggly8"])
@@ -329,7 +356,9 @@ def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
         "three-lobe": three_lobe,
         "wiggly8": perturb(ellipse, 0.12, 8, seed=3),
     }[name]
-    # one table of the whole circle and three of short arcs, batch-last
+    # one table of the whole circle and three of short arcs, batch-last, and
+    # one with nan norms: a nan neighbour blocks a candidate, as v <= nan is
+    # false in the dense comparison
     angles = np.stack(
         [TWO_PI * np.arange(n) / n]
         + [start + 0.5 * np.arange(n) / n for start in (0.0, 1.3, 4.0)],
@@ -337,13 +366,9 @@ def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
     )
     pts = curve.eval(angles)
     sq = ((pts[:, None] - pts[None, :]) ** 2).sum(axis=-1)
-    rows, tables = _lattice_minima(sq, threshold)
-    got = {(int(b), tuple(t)) for b, t in zip(tables, _index_tables(n)[0][rows].tolist())}
-    expected = set()
-    for b in range(sq.shape[-1]):
-        dense = dense_norms(sq[..., b])
-        for idx in _candidates(dense, extra_lowest=0):
-            if dense[tuple(idx)] < threshold:
-                expected.add((b, tuple(idx.tolist())))
-    assert got == expected
-    assert len(got) > 0
+    sq = np.concatenate([sq, coincident_table(n)[..., None]], axis=-1)
+    assert np.isnan(dense_norms(sq[..., -1])).any()
+    assert len(check_lattice_minima(sq, threshold)) > 0
+    # windows too short for any tuple to come below the window threshold
+    short = curve.eval(1e-3 * np.arange(n)[:, None] / n + np.array([0.0, 1.3, 4.0]))
+    assert check_lattice_minima(_squared_distances(short), SEED_NORM) == set()
