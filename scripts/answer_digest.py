@@ -3,7 +3,10 @@
     python3 scripts/answer_digest.py > digests.txt    # then diff two checkouts' files
 
 ``find_all``: each class's angle bytes, ``jac_det``, ``transverse``, residual
-norm and minimum separation, then parity and flags.  ``track``: ``ts``, the
+norm and minimum separation, then parity and flags.  ``scan``: the seed
+bytes of the lattice and window scan at n = 24 and n = 12, so that a change
+to the scan can be checked on its seeds, not only on the answers they
+reach.  ``track``: ``ts``, the
 class counts, the events and each step's class angles.  Inputs: the
 benchmark's reference curves, seeded find-suite curves and track paths, the
 golden curves of ``tests/test_solver.py`` and two ellipses with close roots.
@@ -20,6 +23,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import squarepeg as sp  # noqa: E402
 import suite  # noqa: E402
+from squarepeg.solver import _scan_seeds  # noqa: E402
 from test_solver import golden_curves  # noqa: E402
 
 
@@ -30,6 +34,14 @@ def find_digest(curve) -> str:
         h.update(s.theta.tobytes())
         h.update(np.array([s.jac_det, s.transverse, s.residual_norm, s.min_separation]).tobytes())
     h.update(repr((report.parity, report.degeneracy_flags)).encode())
+    return h.hexdigest()
+
+
+def scan_digest(curve) -> str:
+    h = hashlib.sha256()
+    for n in (24, 12):
+        seeds = _scan_seeds(curve, n)
+        h.update(repr(seeds.shape).encode() + seeds.tobytes())
     return h.hexdigest()
 
 
@@ -51,6 +63,7 @@ def main() -> None:
     curves["perturb-0.08-10-36"] = sp.perturb(ellipse, 0.08, 10, seed=36)
     for name, curve in curves.items():
         print(f"find {name} {find_digest(curve)}", flush=True)
+        print(f"scan {name} {scan_digest(curve)}", flush=True)
     paths = {p[0]: p[1:] for seed in range(2021, 2024) for p in suite.track_paths(seed)}
     for label, (c0, c1, steps) in paths.items():
         print(f"track {label} {track_digest(c0, c1, steps)}", flush=True)

@@ -125,7 +125,8 @@ def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
     """
     with np.errstate(invalid="ignore"):
         th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
-    return np.count_nonzero(th[:, [1, 2, 3, 0]] - th > 0.0, axis=1) == 3
+    # a uint8 sum counts faster than np.count_nonzero(..., axis=1)
+    return (th[:, [1, 2, 3, 0]] - th > 0.0).sum(axis=1, dtype=np.uint8) == 3
 
 
 def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -259,32 +259,34 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     return values[rotations[values[combos] < np.pi / 2]]
 
 
-def _combinations(n: int) -> np.ndarray:
-    """(C(n, 4), 4) strictly increasing index tuples in lexicographic order."""
+def _combinations(n: int, k: int = 4) -> np.ndarray:
+    """(C(n, k), k) strictly increasing index tuples in lexicographic order."""
     return np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 4)), dtype=np.intp
-    ).reshape(-1, 4)
+        itertools.chain.from_iterable(itertools.combinations(range(n), k)), dtype=np.intp
+    ).reshape(-1, k)
 
 
 @functools.cache
 def _index_tables(n: int):
-    """Sorted index 4-tuples of n samples, their +-1 neighbours and pair rows.
+    """Sorted index 4-tuples of n samples, their +-1 neighbours and triples.
 
     Row r of the (C(n, 4), 4) tuple table is the combination (a, b, c, d)
     of colex rank r = C(a, 1) + C(b, 2) + C(c, 3) + C(d, 4).  Row r of the
     (C(n, 4), 8) neighbour table holds the ranks of the tuples that move
     one index of row r by +1 or -1, or C(n, 4) where the move leaves the
-    strictly increasing tuples of 0..n-1.  Row p of the (6, C(n, 4)) pair
-    table holds i * n + j for pair p = (i, j) of each tuple.  All three are
-    built once per n and returned read-only; no n^4 array is formed.
+    strictly increasing tuples of 0..n-1.  Column r of the (3, C(n, 4))
+    triple table holds the colex ranks of (a, b, d), (a, b, c) and
+    (b, c, d); column t of the (3, C(n, 3)) triple pair table holds
+    x * n + y, x * n + z and y * n + z for the triple (x, y, z) of rank t,
+    and the last table i * n + j for each pair i < j.  All are built once
+    per n and returned read-only; no n^4 array is formed.
     """
-    combos = _combinations(n)
+    # lexsort on the columns, last first, is the colex order
+    tuples, triples = (c[np.lexsort(c.T)] for c in (_combinations(n), _combinations(n, 3)))
     # binom[x, p] = C(x, p + 1), the rank term of index x in slot p
     binom = np.array([[math.comb(x, k) for k in range(1, 5)] for x in range(n + 1)], dtype=np.intp)
     slots = np.arange(4)
-    count = len(combos)
-    tuples = np.empty_like(combos)
-    tuples[binom[combos, slots].sum(axis=1)] = combos
+    count = len(tuples)
     rank = np.arange(count)[:, None] - binom[tuples, slots]
     # a moved index must stay strictly between its neighbours in the tuple
     below = np.hstack([np.full((count, 1), -1), tuples[:, :3]])
@@ -295,10 +297,13 @@ def _index_tables(n: int):
             np.where(tuples - 1 > below, rank + binom[tuples - 1, slots], count),
         ]
     )
-    pair_rows = tuples[:, _PAIR_I].T * n + tuples[:, _PAIR_J].T
-    for table in (tuples, neighbours, pair_rows):
+    triple_ranks = binom[tuples[:, [[0, 1, 3], [0, 1, 2], [1, 2, 3]]], slots[:3]].sum(axis=2).T
+    triple_pairs = triples[:, [0, 0, 1]].T * n + triples[:, [1, 2, 2]].T
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    tables = tuples, neighbours, triple_ranks, triple_pairs, upper
+    for table in tables:
         table.flags.writeable = False
-    return tuples, neighbours, pair_rows
+    return tables
 
 
 def _lattice_minima(sq: np.ndarray, threshold: float):
@@ -311,36 +316,46 @@ def _lattice_minima(sq: np.ndarray, threshold: float):
     Returns the rows of the tuple table and the table indices of the minima
     with norm below ``threshold``.
 
-    One pass: s01 / s03 - 1 is formed for every tuple, s12 / s01 - 1 where
-    that is below the threshold, and the full norm once where both are.  A
-    neighbour outside this prefilter reads +inf, exact as its norm is at
-    least the threshold, above any candidate's.  A nan norm needs a pair
-    distance that is 0 or not finite: every tuple of a table with one enters
-    the prefilter, so a nan neighbour still blocks its candidate.
+    g0 = s01 / s03 reads only the triple (a, b, d) of the tuple (a, b, c, d),
+    g1 = s12 / s01 only (a, b, c) and g2 = s23 / s12 only (b, c, d).  So the
+    tests |g - 1| < threshold run once per sorted sample triple (x, y, z),
+    as s_xy / s_xz and s_yz / s_xy, and a tuple takes its full norm only
+    where its three triples pass.  A neighbour dropped here reads +inf,
+    exact as its norm is at least the threshold, above any candidate's.  A
+    nan norm needs a pair distance that is 0 or not finite: every tuple of
+    a table with one takes its full norm, so a nan neighbour still blocks.
     """
     n = sq.shape[0]
-    tuples, neighbours, pair_rows = _index_tables(n)
+    tuples, neighbours, triple_ranks, triple_pairs, upper = _index_tables(n)
     table = sq.reshape(n * n, -1)
     width = table.shape[1]
-    upper = sq[np.triu_indices(n, 1)]
-    exact = ~np.all((upper > 0) & (upper < np.inf), axis=0)
-    s01, s03 = table[pair_rows[:2]]
+    dists = np.take(table, upper, axis=0)
+    exact = ~np.all((dists > 0) & (dists < np.inf), axis=0)
+    sxy, sxz, syz = np.take(table, triple_pairs, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ids = np.flatnonzero((np.abs(s01 / s03 - G_TARGET[0]) < threshold) | exact)
-        rows, cols = np.divmod(ids, width)
-        near = np.abs(table[pair_rows[2, rows], cols] / s01.ravel()[ids] - G_TARGET[1])
-        ids = ids[(near < threshold) | exact[cols]]
-        rows, cols = np.divmod(ids, width)
-        nd = _NUM_DEN @ table.ravel()[pair_rows[:, rows] * width + cols]
+        g0_ok = np.abs(sxy / sxz - G_TARGET[0]) < threshold
+        g12_ok = np.abs(syz / sxy - G_TARGET[1]) < threshold
+        # np.take: a fancy index gathers these short rows several times slower
+        passed = np.take(g0_ok, triple_ranks[0], axis=0)
+        passed &= np.take(g12_ok, triple_ranks[1], axis=0)
+        passed &= np.take(g12_ok, triple_ranks[2], axis=0)
+        passed[:, exact] = True
+        rows, cols = np.divmod(np.flatnonzero(passed), width)
+        quads = np.take(tuples, rows, axis=0).T
+        pair_rows = quads[_PAIR_I] * n + quads[_PAIR_J]
+        nd = _NUM_DEN @ table.ravel()[pair_rows * width + cols]
         values = np.abs(nd[:4] / nd[4:] - G_TARGET[:, None]).max(axis=0)
     below = values < threshold
+    # norms by (tuple, slot): a slot per table that holds a candidate, slot 0
+    # for the others, unread; the last block stands for the neighbour C(n, 4)
+    present = np.bincount(cols[below], minlength=width) > 0
+    slot = np.where(present, np.cumsum(present), 0)
+    stride = slot.max() + 1
+    lookup = np.full((len(tuples) + 1) * stride, np.inf)
+    lookup[rows * stride + slot[cols]] = values
     rows, cols = rows[below], cols[below]
-    if not rows.size:
-        return rows, cols
-    # norms by (tuple, table); the last block stands for the neighbour C(n, 4)
-    lookup = np.full((len(tuples) + 1) * width, np.inf)
-    lookup[ids] = values
-    keep = np.all(values[below, None] <= lookup[neighbours[rows] * width + cols[:, None]], axis=1)
+    near = lookup[np.take(neighbours, rows, axis=0) * stride + slot[cols][:, None]]
+    keep = np.all(values[below, None] <= near, axis=1)
     return rows[keep], cols[keep]
 
 
@@ -376,12 +391,9 @@ def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
         TWO_PI * np.arange(WINDOW_ARCS) / WINDOW_ARCS
     )
     arc_rows, arcs = _lattice_minima(_squared_distances(curve.eval(angles)), SEED_NORM)
-    return np.vstack(
-        [
-            numberings[_index_tables(n)[0][rows], cols[:, None]],
-            angles[_index_tables(WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]],
-        ]
-    )
+    lattice_seeds = numberings[_index_tables(n)[0][rows], cols[:, None]]
+    window_seeds = angles[_index_tables(WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]]
+    return np.vstack([lattice_seeds, window_seeds])
 
 
 def canonical_theta(thetas) -> np.ndarray:

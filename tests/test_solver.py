@@ -45,6 +45,7 @@ from squarepeg.solver import (
     _newton_batch,
     _newton_step,
 )
+from squarepeg.verify import random_rotation
 
 from conftest import random_smooth_curve
 
@@ -671,6 +672,14 @@ def test_class_count_invariant_under_reparametrisation_and_scaling(name, expecte
     for scale in (1e-3, 1e3):
         variants[f"scaled {scale:g}"] = Curve(
             scale * curve.a0, scale * curve.cos_coeffs, scale * curve.sin_coeffs
+        )
+    # a planar rotation for planar curves, a rotation of R^3 for trefoil
+    rng = np.random.default_rng(70)
+    for j in range(3):
+        rotation = random_rotation(curve.dim, rng)
+        shift = rng.uniform(-5.0, 5.0, size=curve.dim)
+        variants[f"rigid motion {j}"] = Curve(
+            rotation @ curve.a0 + shift, rotation @ curve.cos_coeffs, rotation @ curve.sin_coeffs
         )
     for label, variant in variants.items():
         report = find_all(variant)

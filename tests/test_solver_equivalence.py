@@ -8,6 +8,8 @@ at a time, and residual minima read off a dense n^4 array.  The solver must
 agree with them exactly.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,22 @@ def test_ordered_batch_matches_canonical_rotation_rule():
     assert 0.05 < got.mean() < 0.95
     assert public == expected[-len(special) :].tolist()
     assert public == [True, True, False, False, False, False, False, True, True, False, False]
+
+
+def test_ordered_batch_uint8_count_on_rows_with_nonfinite_angles():
+    # the count of positive differences is summed in uint8: rows with nan
+    # and +-inf angles, and repeated angles, must still give the reference
+    rng = np.random.default_rng(54)
+    thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, size=(1000, 4))
+    special = rng.random((1000, 4)) < 0.05
+    thetas[special] = rng.choice([np.nan, np.inf, -np.inf], size=special.sum())
+    thetas[::9, 3] = thetas[::9, 2]
+    assert all(np.isin(v, thetas) for v in (np.inf, -np.inf)) and np.isnan(thetas).any()
+    with np.errstate(invalid="ignore"):
+        got, expected = _ordered_batch(thetas), ordered_reference(thetas)
+    assert got.dtype == bool
+    assert np.array_equal(got, expected)
+    assert 0.05 < got.mean() < 0.95
 
 
 def test_class_distance_matrix_matches_class_distance():
@@ -300,6 +318,28 @@ def test_squared_distances_match_difference_array(dim):
         assert np.array_equal(_squared_distances(pts), (diff * diff).sum(axis=-1))
 
 
+def colex(n, k):
+    """Sorted k-subsets of range(n) as lists, by last index first."""
+    return sorted(map(list, itertools.combinations(range(n), k)), key=lambda t: t[::-1])
+
+
+@pytest.mark.parametrize("n", [8, 12, 14, 24])
+def test_index_tables_triples_map_back_to_their_tuples(n):
+    # the triple prefilter tests g0 on (a, b, d), g1 on (a, b, c) and g2 on
+    # (b, c, d): each column of ranks must name exactly those triples
+    tuples, _, triple_ranks, triple_pairs, upper = _index_tables(n)
+    assert tuples.tolist() == colex(n, 4)
+    x, y = np.divmod(triple_pairs[0], n)
+    z = triple_pairs[1] % n
+    assert np.array_equal(triple_pairs, [x * n + y, x * n + z, y * n + z])
+    triples = np.stack([x, y, z], axis=1)
+    assert triples.tolist() == colex(n, 3)
+    for ranks, cols in zip(triple_ranks, ([0, 1, 3], [0, 1, 2], [1, 2, 3])):
+        assert np.array_equal(triples[ranks], tuples[:, cols])
+    assert np.array_equal(upper, np.ravel_multi_index(np.triu_indices(n, 1), (n, n)))
+    assert not any(t.flags.writeable for t in _index_tables(n))
+
+
 def dense_norms(sq):
     """(n, n, n, n) residual sup-norm of one squared-distance table.
 
@@ -346,7 +386,7 @@ def check_lattice_minima(sq, threshold):
 
 
 @pytest.mark.parametrize("threshold", [SEED_NORM, LATTICE_SEED_NORM, np.inf])
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 12, 14])
 @pytest.mark.parametrize("name", ["ellipse", "circle", "three-lobe", "wiggly8"])
 def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
     ellipse = make_ellipse(2, 1)
@@ -372,3 +412,15 @@ def test_lattice_minima_match_dense_brute_force(name, n, threshold, three_lobe):
     # windows too short for any tuple to come below the window threshold
     short = curve.eval(1e-3 * np.arange(n)[:, None] / n + np.array([0.0, 1.3, 4.0]))
     assert check_lattice_minima(_squared_distances(short), SEED_NORM) == set()
+
+
+def test_lattice_minima_compact_lookup_on_a_window_batch():
+    # the window batch shape: 128 short arcs, where no tuple comes below the
+    # window threshold, and one full-circle table among them that holds every
+    # candidate, so the norm lookup has one slot, away from table 0
+    n = solver.WINDOW_SAMPLES
+    ellipse = make_ellipse(2, 1)
+    short = 1e-3 * np.arange(n)[:, None] / n + TWO_PI * np.arange(128) / 128
+    angles = np.insert(short, 77, TWO_PI * np.arange(n) / n, axis=1)
+    got = check_lattice_minima(_squared_distances(ellipse.eval(angles)), SEED_NORM)
+    assert len(got) > 0 and {b for b, _ in got} == {77}
