@@ -6,10 +6,12 @@
 norm and minimum separation, then parity and flags.  ``scan``: the seed
 bytes of the lattice and window scan at n = 24 and n = 12, so that a change
 to the scan can be checked on its seeds, not only on the answers they
-reach.  ``track``: ``ts``, the
-class counts, the events and each step's class angles.  Inputs: the
-benchmark's reference curves, seeded find-suite curves and track paths, the
-golden curves of ``tests/test_solver.py`` and two ellipses with close roots.
+reach.  ``embed``: the curve's diameter and its regularity and
+embedding check at 1,024 and 4,096 samples.  ``track``: ``ts``, the class
+counts, the events and each step's class angles.  Inputs: the benchmark's
+reference curves, seeded find-suite curves and track paths, the reverse path
+three-lobe -> ellipse (a death), the golden curves of ``tests/test_solver.py``
+and two ellipses with close roots.
 """
 
 import hashlib
@@ -45,6 +47,11 @@ def scan_digest(curve) -> str:
     return h.hexdigest()
 
 
+def embed_digest(curve) -> str:
+    checks = [sp.regularity_and_embedding_check(curve, n) for n in (1024, 4096)]
+    return hashlib.sha256(repr((curve.diameter, checks)).encode()).hexdigest()
+
+
 def track_digest(c0, c1, steps) -> str:
     trace = sp.track(c0, c1, steps)
     h = hashlib.sha256(np.asarray(trace.ts, dtype=float).tobytes())
@@ -64,7 +71,9 @@ def main() -> None:
     for name, curve in curves.items():
         print(f"find {name} {find_digest(curve)}", flush=True)
         print(f"scan {name} {scan_digest(curve)}", flush=True)
+        print(f"embed {name} {embed_digest(curve)}", flush=True)
     paths = {p[0]: p[1:] for seed in range(2021, 2024) for p in suite.track_paths(seed)}
+    paths["three-lobe->ellipse"] = (suite.three_lobe(), ellipse, 16)
     for label, (c0, c1, steps) in paths.items():
         print(f"track {label} {track_digest(c0, c1, steps)}", flush=True)
 

@@ -164,23 +164,53 @@ def _match_classes(prev: SolveReport, cur: SolveReport):
     Matches above 10x the median matched drift are rejected, so a class that
     jumps implausibly far counts as one death plus one birth.
     """
-    # deferred: scipy.optimize is most of the package's import time, and
-    # only continuation needs it
-    from scipy.optimize import linear_sum_assignment
-
     a = [s.theta for s in prev.classes]
     b = [s.theta for s in cur.classes]
-    if not a:
-        return list(b), []
-    if not b:
-        return [], list(a)
+    if not a or not b:
+        return list(b), list(a)
     dist = _class_distances(np.mod(a, TWO_PI), np.mod(b, TWO_PI))
-    rows, cols = linear_sum_assignment(dist)
+    rows, cols = _min_cost_assignment(dist)
     drifts = dist[rows, cols]
     kept = drifts <= max(10.0 * float(np.median(drifts)), 1e-9)
     born = [b[j] for j in np.setdiff1d(np.arange(len(b)), cols[kept])]
     died = [a[i] for i in np.setdiff1d(np.arange(len(a)), rows[kept])]
     return born, died
+
+
+def _min_cost_assignment(cost: np.ndarray):
+    """(rows, cols) of scipy's ``linear_sum_assignment`` on a finite (n, m) matrix.
+
+    The Hungarian method with potentials (Kuhn 1955) in the shortest-
+    augmenting-path form of Jonker and Volgenant (1987), on plain lists,
+    as the matrices are a few classes across.
+    """
+    transposed = cost.shape[0] > cost.shape[1]
+    c = (cost.T if transposed else cost).tolist()
+    n, m, inf = len(c), len(c[0]), float("inf")
+    u, v, row_of = [0.0] * (n + 1), [0.0] * (m + 1), [0] * (m + 1)  # 1-based; column 0 is the root
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        dist, prev, done = [inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:
+            done[j0] = True
+            row, ui, delta, j1 = c[row_of[j0] - 1], u[row_of[j0]], inf, 0
+            for j in range(1, m + 1):
+                if not done[j]:
+                    if row[j - 1] - ui - v[j] < dist[j]:
+                        dist[j], prev[j] = row[j - 1] - ui - v[j], j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            row_of[j0], j0 = row_of[prev[j0]], prev[j0]
+    pairs = sorted((row_of[j] - 1, j - 1) for j in range(1, m + 1) if row_of[j])
+    return np.array(sorted((j, i) for i, j in pairs) if transposed else pairs).T
 
 
 def _event_kind(born, died) -> str:

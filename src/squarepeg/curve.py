@@ -165,13 +165,11 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     self-distance minimum skips parameter pairs within 4 grid steps of each
     other, so it measures genuine near-self-intersection, not arc length.
     It is exact: the smallest chord between samples 5 steps apart is itself
-    a pair outside the skipped band, so it bounds the minimum, and one k-d
-    tree query returns every pair no farther apart than that bound; the
-    minimum is the bound or the nearest of those pairs that lie more than
-    4 steps apart around the circle.
+    a pair outside the skipped band, so it bounds the minimum, and
+    ``_close_pairs`` returns every pair no farther apart than that bound;
+    the minimum is the bound or the nearest of those pairs that lie more
+    than 4 steps apart around the circle.
     """
-    from scipy.spatial import cKDTree
-
     if samples < 16:
         raise ValueError("samples must be >= 16")
     theta = TWO_PI * np.arange(samples) / samples
@@ -179,12 +177,40 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     pts = curve.eval(theta)
     exclusion = 4
     bound = np.linalg.norm(pts - np.roll(pts, -(exclusion + 1), axis=0), axis=1).min()
-    i, j = cKDTree(pts).query_pairs(bound * (1 + 1e-12), output_type="ndarray").T
+    i, j = _close_pairs(pts, bound * (1 + 1e-12))
     sep = np.abs(i - j)
     far = np.minimum(sep, samples - sep) > exclusion
     dist = np.linalg.norm(pts[i[far]] - pts[j[far]], axis=1)
     min_self = float(dist.min(initial=bound))
     return {"min_speed": min_speed, "min_self_distance": min_self}
+
+
+def _close_pairs(pts: np.ndarray, radius: float):
+    """Index arrays (i, j), i < j, of the (n, k) points at most ``radius`` apart.
+
+    The pairs of scipy's ``cKDTree.query_pairs``: squared differences summed
+    in coordinate order at most ``radius**2``.  A sweep along the widest
+    coordinate pairs each point with the later ones within reach there (one
+    ``searchsorted``), prunes on the other coordinates, then tests the exact
+    distance.  The reach is ``radius`` widened by 1e-9 against rounding.
+    """
+    reach = radius * (1 + 1e-9)
+    coords = pts.T.copy()
+    axis = int(np.argmax(coords.max(axis=1) - coords.min(axis=1)))
+    order = np.argsort(coords[axis], kind="stable")
+    coords = coords.take(order, axis=1)
+    x, after = coords[axis], np.arange(1, len(pts) + 1)
+    counts = np.searchsorted(x, x + reach, side="right") - after
+    first = np.repeat(after - 1, counts)  # sorted point i's window starts at i + 1
+    second = np.arange(first.size) + np.repeat(after - np.cumsum(counts) + counts, counts)
+    for row in np.delete(coords, axis, axis=0):
+        gap = row.take(second) - row.take(first)
+        near = np.abs(gap, out=gap) <= reach
+        first, second = first[near], second[near]
+    d2 = sum((row.take(second) - row.take(first)) ** 2 for row in coords)  # scipy's order
+    keep = d2 <= radius * radius
+    i, j = order.take(first[keep]), order.take(second[keep])
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def curve_from_json_dict(data: dict) -> Curve:
@@ -247,15 +273,29 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     """Largest distance between two of the (n, k) points.
 
     The farthest pair is located on the squared distances |a|^2 + |b|^2 -
-    2 a.b of the centred points, one (n, n) Gram matrix instead of an
-    (n, n, k) difference array; its distance is then taken exactly.  The
-    Gram form errs by a few eps times the squared diameter, so the pair it
-    picks is the farthest to within that relative error.
+    2 a.b of the centred points, a Gram matrix instead of an (n, n, k)
+    difference array; its distance is then taken exactly.  The Gram form
+    errs by a few eps times the squared diameter D^2.
+
+    Only rows that can hold the farthest pair are formed.  With r_i the
+    norm of centred point i, r the largest and L the distance from that
+    point to its own farthest one (so D/2 <= L <= D), every pair has
+    |a_i - a_j| <= r_i + r, so a row with r_i + r < L (1 - 1e-9) has every
+    Gram entry below L^2 less the Gram error, below the entry of the pair
+    at distance L.  The full matrix's maximum and its ties thus lie in the
+    kept rows, which keep their order and entries: the first maximum in
+    row-major order, the pair and the diameter agree bit for bit.  The
+    farthest point and its partner are kept, so the product stays a matrix
+    product (a single row would take BLAS's vector path).
     """
     centred = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centred, centred)
-    dist2 = (-2.0 * centred) @ centred.T
-    dist2 += sq[:, None]
+    r = np.sqrt(sq)
+    p = int(np.argmax(r))
+    reach = np.linalg.norm(centred - centred[p], axis=1).max()
+    rows = np.flatnonzero(r + r[p] >= reach * (1 - 1e-9))
+    dist2 = (-2.0 * centred[rows]) @ centred.T
+    dist2 += sq[rows, None]
     dist2 += sq
-    i, j = divmod(int(np.argmax(dist2)), len(pts))
-    return float(np.linalg.norm(pts[i] - pts[j]))
+    a, j = divmod(int(np.argmax(dist2)), len(pts))
+    return float(np.linalg.norm(pts[rows[a]] - pts[j]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,35 @@ def test_strata_report(curve_file, tmp_path):
     assert payload["classes"][0]["stratum"] == "interior"
     assert payload["min_speed"] == pytest.approx(1.0, abs=1e-9)
     assert payload["classes"][0]["min_separation"] > 0.1
+
+
+def test_runtime_never_imports_scipy(curve_file, tmp_path):
+    # the package runs on numpy alone; scipy is a test dependency
+    ellipse = curve_file(ELLIPSE, name="e.json")
+    three = curve_file(three_lobe_curve().to_json_dict(), name="three.json")
+    out = str(tmp_path / "out.json")
+    code = (
+        "import json, sys\n"
+        "import squarepeg, squarepeg.cli\n"
+        "e, t = (squarepeg.curve_from_json_dict(json.load(open(p))) for p in sys.argv[1:3])\n"
+        "squarepeg.find_all(e)\n"
+        "squarepeg.track(e, t, 4)\n"
+        "squarepeg.regularity_and_embedding_check(t)\n"
+        "a = ['--curve', sys.argv[1], '--json', sys.argv[3]]\n"
+        "assert squarepeg.cli.main(['track', *a, '--target', sys.argv[2], '--steps', '4']) == 0\n"
+        "assert squarepeg.cli.main(['strata-report', *a]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code, ellipse, three, out],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_solver_flags_accepted(curve_file, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from squarepeg import (
     Curve,
@@ -11,6 +12,7 @@ from squarepeg import (
     perturb,
     track,
 )
+from squarepeg.continuation import _min_cost_assignment
 from squarepeg.errors import DimensionMismatch, NonTransversePath, RegularityLost
 
 
@@ -66,6 +68,32 @@ def test_track_birth_event_to_three_lobe(ellipse21, three_lobe):
     # counts only change by +-2 between consecutive steps
     deltas = np.diff(trace.class_counts)
     assert set(np.abs(deltas[deltas != 0])) <= {2}
+
+
+def test_track_death_event_from_three_lobe(ellipse21, three_lobe):
+    trace = track(three_lobe, ellipse21, steps=16)
+    assert trace.class_counts[0] == 3 and trace.class_counts[-1] == 1
+    assert [event.kind for event in trace.events] == ["Death"]
+    assert len(trace.events[0].classes) == 2
+
+
+def test_min_cost_assignment_matches_scipy():
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        n, m = rng.integers(1, 13, size=2)
+        cost = rng.uniform(0, 1, size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+        for matrix in (cost, cost.T):  # both orientations
+            rows, cols = _min_cost_assignment(matrix)
+            expected_rows, expected_cols = linear_sum_assignment(matrix)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(cols, expected_cols)
+        # with ties several matchings are optimal: compare the total cost
+        ties = rng.integers(0, 3, size=(n, m)).astype(float)
+        rows, cols = _min_cost_assignment(ties)
+        expected_rows, expected_cols = linear_sum_assignment(ties)
+        assert len(rows) == min(n, m) and np.all(np.diff(rows) > 0)
+        assert len(set(cols.tolist())) == len(cols)
+        assert ties[rows, cols].sum() == ties[expected_rows, expected_cols].sum()
 
 
 def test_track_endpoint_consistency(ellipse21, three_lobe):

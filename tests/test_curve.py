@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from squarepeg import (
     Curve,
@@ -10,7 +11,7 @@ from squarepeg import (
     perturb,
     regularity_and_embedding_check,
 )
-from squarepeg.curve import CHECK_SAMPLES, _point_set_diameter
+from squarepeg.curve import CHECK_SAMPLES, _close_pairs, _point_set_diameter
 from squarepeg.errors import RegularityLost
 
 from conftest import random_smooth_curve
@@ -215,20 +216,72 @@ def diameter_reference(pts):
     return float(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).max())
 
 
+def full_gram_diameter(pts):
+    """The farthest pair's distance, located on the full (n, n) Gram matrix."""
+    centred = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    dist2 = (-2.0 * centred) @ centred.T
+    dist2 += sq[:, None]
+    dist2 += sq
+    i, j = divmod(int(np.argmax(dist2)), len(pts))
+    return float(np.linalg.norm(pts[i] - pts[j]))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_diameter_matches_brute_force(dim):
     rng = np.random.default_rng(40 + dim)
     theta = TWO_PI * np.arange(CHECK_SAMPLES) / CHECK_SAMPLES
-    for harmonics in (1, 3, 8):
-        curve = random_smooth_curve(rng, dim=dim, harmonics=harmonics)
-        expected = diameter_reference(curve.eval(theta[::8]))
-        assert curve.diameter == pytest.approx(expected, rel=1e-12, abs=0)
+    curves = [make_ellipse(1, 1), make_ellipse(2, 1)] if dim == 2 else []
+    curves += [
+        random_smooth_curve(rng, dim=dim, harmonics=harmonics)
+        for harmonics in (1, 2, 3, 5, 8)
+        for _ in range(4)
+    ]
+    for curve in curves:
+        pts = curve.eval(theta[::8])
+        assert curve.diameter == pytest.approx(diameter_reference(pts), rel=1e-12, abs=0)
+        # the pruned rows hold the full Gram matrix's pair, so the bits agree;
+        # the circle's antipodal pairs tie, and its rows are not pruned
+        assert curve.diameter == full_gram_diameter(pts)
     for _ in range(5):
         # clouds far from the origin: the Gram form works on centred points
         pts = rng.normal(size=(300, dim)) * rng.uniform(0.01, 1, size=dim) + 1e8
         assert _point_set_diameter(pts) == pytest.approx(
             diameter_reference(pts), rel=1e-12, abs=0
         )
+        assert _point_set_diameter(pts) == full_gram_diameter(pts)
+
+
+def query_pairs_reference(pts, radius):
+    return {tuple(p) for p in cKDTree(pts).query_pairs(radius, output_type="ndarray").tolist()}
+
+
+def close_pairs_set(pts, radius):
+    i, j = _close_pairs(pts, radius)
+    assert np.all(i < j)
+    pairs = set(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == i.size
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_close_pairs_match_kd_tree(dim):
+    rng = np.random.default_rng(60 + dim)
+    for n in (1, 2, 10, 100, 500):
+        pts = rng.normal(size=(n, dim))
+        for radius in (0.0, 0.01, 0.1, 0.5, 3.0):
+            assert close_pairs_set(pts, radius) == query_pairs_reference(pts, radius)
+    grid = rng.integers(0, 4, size=(200, dim)) * 0.5  # duplicates and exact ties
+    # a line along the sweep (widest) coordinate, where pruning drops
+    # nothing, and a cross whose shorter bar shares one sweep coordinate
+    line_along = np.zeros((150, dim))
+    line_along[:, 0] = rng.uniform(-5, 5, size=150)
+    line_across = np.zeros((150, dim))
+    line_across[:, 1] = rng.uniform(-2, 2, size=150)
+    cross = np.concatenate([line_along, line_across])
+    for pts in (grid, np.repeat(grid[:20], 3, axis=0), line_along, cross):
+        for radius in (0.0, 0.5, 0.7, 1.0):
+            assert close_pairs_set(pts, radius) == query_pairs_reference(pts, radius)
 
 
 def test_regularity_check_rejects_degenerate_curve():

@@ -696,10 +696,9 @@ def test_continuum_suspected_flag(unit_circle):
 
 
 def test_find_does_not_import_scipy_optimize():
-    # scipy.optimize dominates the package's import time; only continuation
-    # needs it (and scipy.spatial, for the embedding check), so importing
-    # the package and solving must load neither, nor scipy.sparse, which
-    # clustering does without
+    # scipy.optimize would dominate the package's import time: importing the
+    # package and solving must load none of it, scipy.spatial and
+    # scipy.sparse (test_cli.py guards track and the CLI against all scipy)
     code = (
         "import sys\n"
         "import squarepeg\n"
