@@ -6,7 +6,10 @@
 norm and minimum separation, then parity and flags.  ``scan``: the seed
 bytes of the lattice and window scan at n = 24 and n = 12, so that a change
 to the scan can be checked on its seeds, not only on the answers they
-reach.  ``embed``: the curve's diameter and its regularity and
+reach.  ``newton``: ``_newton_batch``'s thetas, norms and status on the
+n = 24 scan seeds, each exactly repeated row (after reduction mod 2pi)
+kept once, as ``find_all`` runs them: a change to the Newton loop can be
+checked on its iterates.  ``embed``: the curve's diameter and its regularity and
 embedding check at 1,024 and 4,096 samples.  ``track``: ``ts``, the class
 counts, the events and each step's class angles.  Inputs: the benchmark's
 reference curves, seeded find-suite curves and track paths, the reverse path
@@ -25,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import squarepeg as sp  # noqa: E402
 import suite  # noqa: E402
-from squarepeg.solver import _scan_seeds  # noqa: E402
+from squarepeg.solver import TWO_PI, SolverOptions, _newton_batch, _scan_seeds  # noqa: E402
 from test_solver import golden_curves  # noqa: E402
 
 
@@ -44,6 +47,19 @@ def scan_digest(curve) -> str:
     for n in (24, 12):
         seeds = _scan_seeds(curve, n)
         h.update(repr(seeds.shape).encode() + seeds.tobytes())
+    return h.hexdigest()
+
+
+def newton_digest(curve) -> str:
+    # the merge of ``find_all``, written out so that the script runs on older checkouts too
+    seeds = _scan_seeds(curve, 24)
+    reduced = np.mod(seeds, TWO_PI)
+    order = np.lexsort(reduced.T)
+    repeat = np.zeros(len(seeds), dtype=bool)
+    repeat[order[1:]] = (reduced[order[1:]] == reduced[order[:-1]]).all(axis=1)
+    h = hashlib.sha256()
+    for out in _newton_batch(curve, seeds[~repeat], SolverOptions())[:3]:
+        h.update(out.tobytes())
     return h.hexdigest()
 
 
@@ -71,6 +87,7 @@ def main() -> None:
     for name, curve in curves.items():
         print(f"find {name} {find_digest(curve)}", flush=True)
         print(f"scan {name} {scan_digest(curve)}", flush=True)
+        print(f"newton {name} {newton_digest(curve)}", flush=True)
         print(f"embed {name} {embed_digest(curve)}", flush=True)
     paths = {p[0]: p[1:] for seed in range(2021, 2024) for p in suite.track_paths(seed)}
     paths["three-lobe->ellipse"] = (suite.three_lobe(), ellipse, 16)

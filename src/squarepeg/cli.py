@@ -54,36 +54,38 @@ _SOLVER_FLAGS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: ``--tar`` or ``--to`` must not pass for ``--target`` or ``--tol``
     parser = argparse.ArgumentParser(
         prog="squarepeg",
         description="Find, certify, count, and track square-like quadrilaterals "
         "inscribed in smooth closed curves.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    find_p = sub.add_parser("find", help="solve one curve and report classes")
+    find_p = sub.add_parser("find", help="solve one curve and report classes", allow_abbrev=False)
     find_p.add_argument("--curve", required=True, help="curve JSON file")
     _add_solver_flags(find_p)
     _add_output_flags(find_p, svg=True, csv=True)
 
-    ve = sub.add_parser("verify-ellipse", help="closed-form ellipse checks")
+    ve = sub.add_parser("verify-ellipse", help="closed-form ellipse checks", allow_abbrev=False)
     ve.add_argument("--a", type=float, required=True)
     ve.add_argument("--b", type=float, required=True)
     _add_output_flags(ve)
 
-    eq = sub.add_parser("equivalence", help="g/f residual equivalence harness")
+    eq = sub.add_parser("equivalence", help="g/f residual equivalence harness", allow_abbrev=False)
     eq.add_argument("--trials", type=int, default=1000)
     eq.add_argument("--seed", type=int, default=1)
     _add_output_flags(eq)
 
-    tr = sub.add_parser("track", help="continuation between two curves")
+    tr = sub.add_parser("track", help="continuation between two curves", allow_abbrev=False)
     tr.add_argument("--curve", required=True, help="start curve JSON file")
     tr.add_argument("--target", required=True, help="end curve JSON file")
     tr.add_argument("--steps", type=int, default=signature(track).parameters["steps"].default)
     _add_solver_flags(tr)
     _add_output_flags(tr)
 
-    st = sub.add_parser("strata-report", help="collision-proximity diagnostics")
+    st = sub.add_parser("strata-report", help="collision-proximity diagnostics", allow_abbrev=False)
     st.add_argument("--curve", required=True, help="curve JSON file")
     _add_solver_flags(st)
     _add_output_flags(st)
@@ -92,7 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means degenerate results here
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         if args.command == "find":
             return _cmd_find(args)

@@ -166,9 +166,8 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     other, so it measures genuine near-self-intersection, not arc length.
     It is exact: the smallest chord between samples 5 steps apart is itself
     a pair outside the skipped band, so it bounds the minimum, and
-    ``_close_pairs`` returns every pair no farther apart than that bound;
-    the minimum is the bound or the nearest of those pairs that lie more
-    than 4 steps apart around the circle.
+    ``_close_pairs`` returns every pair outside the band no farther apart
+    than that bound; the minimum is the bound or the nearest of those pairs.
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
@@ -177,15 +176,13 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     pts = curve.eval(theta)
     exclusion = 4
     bound = np.linalg.norm(pts - np.roll(pts, -(exclusion + 1), axis=0), axis=1).min()
-    i, j = _close_pairs(pts, bound * (1 + 1e-12))
-    sep = np.abs(i - j)
-    far = np.minimum(sep, samples - sep) > exclusion
-    dist = np.linalg.norm(pts[i[far]] - pts[j[far]], axis=1)
+    i, j = _close_pairs(pts, bound * (1 + 1e-12), skip=exclusion)
+    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
     min_self = float(dist.min(initial=bound))
     return {"min_speed": min_speed, "min_self_distance": min_self}
 
 
-def _close_pairs(pts: np.ndarray, radius: float):
+def _close_pairs(pts: np.ndarray, radius: float, skip: int = 0):
     """Index arrays (i, j), i < j, of the (n, k) points at most ``radius`` apart.
 
     The pairs of scipy's ``cKDTree.query_pairs``: squared differences summed
@@ -193,6 +190,8 @@ def _close_pairs(pts: np.ndarray, radius: float):
     coordinate pairs each point with the later ones within reach there (one
     ``searchsorted``), prunes on the other coordinates, then tests the exact
     distance.  The reach is ``radius`` widened by 1e-9 against rounding.
+    Pairs at most ``skip`` indices apart around the circle of n indices are
+    dropped after the pruning, before the distance test.
     """
     reach = radius * (1 + 1e-9)
     coords = pts.T.copy()
@@ -207,6 +206,10 @@ def _close_pairs(pts: np.ndarray, radius: float):
         gap = row.take(second) - row.take(first)
         near = np.abs(gap, out=gap) <= reach
         first, second = first[near], second[near]
+    if skip:
+        sep = np.abs(order.take(second) - order.take(first))
+        far = np.minimum(sep, len(pts) - sep) > skip
+        first, second = first[far], second[far]
     d2 = sum((row.take(second) - row.take(first)) ** 2 for row in coords)  # scipy's order
     keep = d2 <= radius * radius
     i, j = order.take(first[keep]), order.take(second[keep])

@@ -184,59 +184,60 @@ def _pair_squares(pts: np.ndarray):
     return diff, (diff * diff).sum(0)
 
 
-def _kernel(pts: np.ndarray, diameter: float, tan: np.ndarray | None = None):
-    """Residual, sup-norms, min separation and (given tangents) Jacobian.
+def _residual_kernel(pts: np.ndarray, diameter: float):
+    """Residuals, sup-norms and min separations of (m, 4, k) points.
 
-    ``pts`` and ``tan`` are (m, 4, k) points and tangents of a batch of angle
-    tuples.  The six pair differences are formed once; each g_r = N_r / D_r
-    is a ratio of linear combinations of their squared lengths, and its
-    Jacobian row is (dN_r - g_r dD_r) / D_r, built from the same differences
-    and the tangents.  The work runs batch-last, (k, 6, m), so every
-    operation streams over whole rows of length m instead of the short
-    k, 4 and 6 axes, and the Jacobian comes out batch-last too, (4, 4, m).
-    Rows whose configuration is numerically degenerate get +inf norm instead
-    of raising, so the damped line search can simply reject them.
+    The six pair differences are formed once; each g_r = N_r / D_r is a
+    ratio of linear combinations of their squared lengths.  The work runs
+    batch-last, (k, 6, m), so every operation streams over whole rows of
+    length m instead of the short k, 4 and 6 axes.  Rows whose
+    configuration is numerically degenerate get +inf norm instead of
+    raising, so the damped line search can simply reject them.
     """
-    diff, sq = _pair_squares(pts)
+    _, sq = _pair_squares(pts)
     min_sep = np.sqrt(sq.min(axis=0))
     nd = _NUM_DEN @ sq
-    num, den = nd[:4], nd[4:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = num / den
-        res = g - G_TARGET[:, None]
+        res = nd[:4] / nd[4:] - G_TARGET[:, None]
         norms = np.abs(res).max(axis=0)
     ok = (min_sep > MACHINE_SEP * diameter) & np.isfinite(norms)
-    norms = np.where(ok, norms, np.inf)
-    if tan is None:
-        return res.T, norms, min_sep, None
+    return res.T, np.where(ok, norms, np.inf), min_sep
+
+
+def _jacobian_kernel(pts: np.ndarray, tan: np.ndarray) -> np.ndarray:
+    """Batch-last (4, 4, m) residual Jacobians at (m, 4, k) points with tangents
+    ``tan``: row r is (dN_r - g_r dD_r) / D_r, from the pair differences."""
+    diff, sq = _pair_squares(pts)
+    nd = _NUM_DEN @ sq
     tangents = np.ascontiguousarray(tan.T)[:, _PAIR_IJ]
     dots = (np.concatenate([diff, diff], axis=1) * tangents).sum(0)
     dnd = (_DOTS_TO_DNUM_DEN.T @ dots).reshape(8, 4, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = (dnd[:4] - g[:, None] * dnd[4:]) / den[:, None]
-    return res.T, norms, min_sep, jac
+        g = nd[:4] / nd[4:]
+        return (dnd[:4] - g[:, None] * dnd[4:]) / nd[4:, None]
 
 
-def _single(curve: Curve, thetas, with_jacobian: bool):
-    """Kernel outputs at one angle tuple; raises on coincident curve points."""
+def _checked(curve: Curve, thetas):
+    """(1, 4) angles, points and residual of one tuple; raises on coincident points."""
     th = np.asarray(thetas, dtype=float).reshape(1, 4)
-    tan = _tangents_at(curve, th) if with_jacobian else None
-    res, _, min_sep, jac = _kernel(_points_at(curve, th), curve.diameter, tan)
+    pts = _points_at(curve, th)
+    res, _, min_sep = _residual_kernel(pts, curve.diameter)
     if min_sep[0] <= MACHINE_SEP * curve.diameter:
         raise DegenerateConfiguration(
             f"curve points separated by {min_sep[0]:.3e}, below guard"
         )
-    return res[0], None if jac is None else jac[..., 0]
+    return th, pts, res[0]
 
 
 def residual(curve: Curve, thetas) -> np.ndarray:
     """G(theta) = g(gamma(theta)) - (1, 1, 1, 0) for one angle 4-tuple."""
-    return _single(curve, thetas, with_jacobian=False)[0]
+    return _checked(curve, thetas)[2]
 
 
 def jacobian(curve: Curve, thetas) -> np.ndarray:
     """Analytic 4x4 derivative of ``residual`` in the four angles."""
-    return _single(curve, thetas, with_jacobian=True)[1]
+    th, pts, _ = _checked(curve, thetas)
+    return _jacobian_kernel(pts, _tangents_at(curve, th))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +321,15 @@ def _lattice_minima(sq: np.ndarray, threshold: float):
     g1 = s12 / s01 only (a, b, c) and g2 = s23 / s12 only (b, c, d).  So the
     tests |g - 1| < threshold run once per sorted sample triple (x, y, z),
     as s_xy / s_xz and s_yz / s_xy, and a tuple takes its full norm only
-    where its three triples pass.  A neighbour dropped here reads +inf,
-    exact as its norm is at least the threshold, above any candidate's.  A
-    nan norm needs a pair distance that is 0 or not finite: every tuple of
-    a table with one takes its full norm, so a nan neighbour still blocks.
+    where its three triples pass, from the squared distances gathered for
+    them (no per-tuple gather from the table).  A neighbour dropped here
+    reads +inf, exact as its norm is at least the threshold, above any
+    candidate's.  A nan norm needs a pair distance
+    that is 0 or not finite: every tuple of a table with one takes its full
+    norm, so a nan neighbour still blocks.
     """
     n = sq.shape[0]
-    tuples, neighbours, triple_ranks, triple_pairs, upper = _index_tables(n)
+    _, neighbours, triple_ranks, triple_pairs, upper = _index_tables(n)
     table = sq.reshape(n * n, -1)
     width = table.shape[1]
     dists = np.take(table, upper, axis=0)
@@ -341,17 +344,20 @@ def _lattice_minima(sq: np.ndarray, threshold: float):
         passed &= np.take(g12_ok, triple_ranks[2], axis=0)
         passed[:, exact] = True
         rows, cols = np.divmod(np.flatnonzero(passed), width)
-        quads = np.take(tuples, rows, axis=0).T
-        pair_rows = quads[_PAIR_I] * n + quads[_PAIR_J]
-        nd = _NUM_DEN @ table.ravel()[pair_rows * width + cols]
-        values = np.abs(nd[:4] / nd[4:] - G_TARGET[:, None]).max(axis=0)
+        # a tuple's six squared distances are the xy, xz and yz of its triples
+        # (a, b, d), (a, b, c) and (b, c, d): s01 is xy of (a, b, c), s13 xz of (b, c, d)
+        abd, abc, bcd = np.take(triple_ranks, rows, axis=1) * width + cols
+        s01 = sxy.take(abc)
+        num = (sxy.take(abd), syz.take(abc), syz.take(bcd), sxz.take(abc) - sxz.take(bcd))
+        den = (sxz.take(abd), s01, sxy.take(bcd), s01)
+        values = np.abs(np.divide(num, den) - G_TARGET[:, None]).max(axis=0)
     below = values < threshold
     # norms by (tuple, slot): a slot per table that holds a candidate, slot 0
     # for the others, unread; the last block stands for the neighbour C(n, 4)
     present = np.bincount(cols[below], minlength=width) > 0
     slot = np.where(present, np.cumsum(present), 0)
     stride = slot.max() + 1
-    lookup = np.full((len(tuples) + 1) * stride, np.inf)
+    lookup = np.full((len(neighbours) + 1) * stride, np.inf)
     lookup[rows * stride + slot[cols]] = values
     rows, cols = rows[below], cols[below]
     near = lookup[np.take(neighbours, rows, axis=0) * stride + slot[cols][:, None]]
@@ -363,9 +369,15 @@ def _squared_distances(pts: np.ndarray) -> np.ndarray:
     """(n, ..., k) points -> (n, n, ...) table of their squared distances.
 
     The squares are summed one coordinate at a time, in coordinate order,
-    so no (n, n, ..., k) difference array is formed.
+    each from a contiguous row and in place, so no (n, n, ..., k) difference
+    array is formed.
     """
-    return sum((x[:, None] - x[None, :]) ** 2 for x in np.moveaxis(pts, -1, 0))
+    total = None
+    for x in np.ascontiguousarray(np.moveaxis(pts, -1, 0)):
+        diff = x[:, None] - x[None, :]
+        diff *= diff
+        total = diff if total is None else np.add(total, diff, out=total)
+    return total
 
 
 def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
@@ -422,7 +434,7 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     Returns (thetas, residual sup-norms, status array, singular-fallback flags).
     The step comes from ``_newton_step``; damping takes the fraction 2^-k
     of it for the smallest k <= 10 that decreases the residual norm.  The
-    full step is tried first, in one kernel call for every row; the rows it
+    full step is tried first, in one residual call for every row; the rows it
     does not improve try all ten halvings in one more call, and a row takes
     the smallest k that decreases its norm: the k that halving one fraction
     at a time accepts.  A seed stops when it converges, when no fraction
@@ -436,42 +448,43 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     with np.errstate(invalid="ignore"):
         thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     pts = _points_at(curve, thetas)
-    res, norms, _, _ = _kernel(pts, curve.diameter)
-    converged = norms < opts.tol_residual
-    active = np.isfinite(norms)
+    res, norms, _ = _residual_kernel(pts, curve.diameter)
+    # seeds still iterating: finite and not converged (norms is never nan)
+    live = np.isfinite(norms) & (norms >= opts.tol_residual)
     used_singular = np.zeros(len(thetas), dtype=bool)
+    state = (thetas, pts, res, norms)
     for _ in range(opts.max_iters):
-        idx = np.flatnonzero(active & ~converged)
+        idx = np.flatnonzero(live)
         if not idx.size:
             break
-        _, _, _, jac = _kernel(pts[idx], curve.diameter, _tangents_at(curve, thetas[idx]))
+        jac = _jacobian_kernel(pts[idx], _tangents_at(curve, thetas[idx]))
         step, regular = _newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
         trial = np.mod(thetas[idx] + step, TWO_PI)
         trial_pts = _points_at(curve, trial)
-        trial_res, trial_norm, _, _ = _kernel(trial_pts, curve.diameter)
-        tried = (trial, trial_pts, trial_res, trial_norm)
+        trial_res, trial_norm, _ = _residual_kernel(trial_pts, curve.diameter)
         hit = trial_norm < norms[idx]
         miss = np.flatnonzero(~hit)
+        moved = idx[hit]
+        for mine, theirs in zip(state, (trial, trial_pts, trial_res, trial_norm)):
+            mine[moved] = theirs[hit]
+        live[idx] = False
         if miss.size:
             rows = idx[miss]
             halved = np.mod(thetas[rows] + _HALVINGS * step[miss], TWO_PI).reshape(-1, 4)
             halved_pts = _points_at(curve, halved)
-            halved_res, halved_norm, _, _ = _kernel(halved_pts, curve.diameter)
+            halved_res, halved_norm, _ = _residual_kernel(halved_pts, curve.diameter)
             better = halved_norm.reshape(len(_HALVINGS), -1) < norms[rows]
             found = better.any(axis=0)
             pick = better.argmax(axis=0)[found] * len(rows) + np.flatnonzero(found)
-            for mine, theirs in zip(tried, (halved, halved_pts, halved_res, halved_norm)):
-                mine[miss[found]] = theirs[pick]
-            hit[miss[found]] = True
-        moved = idx[hit]
-        for mine, theirs in zip((thetas, pts, res, norms), tried):
-            mine[moved] = theirs[hit]
-        converged[moved] = norms[moved] < opts.tol_residual
+            won = rows[found]
+            for mine, theirs in zip(state, (halved, halved_pts, halved_res, halved_norm)):
+                mine[won] = theirs[pick]
+            moved = np.concatenate([moved, won])
         # roots off the ordered component are discarded, so a seed that leaves it stops
-        active[idx] = False
-        active[moved] = _ordered_batch(thetas[moved])
+        live[moved] = (norms[moved] >= opts.tol_residual) & _ordered_batch(thetas[moved])
 
+    converged = norms < opts.tol_residual
     min_sep = np.sqrt(_pair_squares(pts)[1].min(axis=0))
     status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
     status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
@@ -518,8 +531,8 @@ def _make_solutions(curve: Curve, thetas: np.ndarray, opts: SolverOptions) -> li
     """Certified ``Solution``s of (m, 4) roots, in canonical form, in one batch."""
     th = _canonical_batch(thetas)
     pts = _points_at(curve, th)
-    _, norms, min_sep, jac = _kernel(pts, curve.diameter, _tangents_at(curve, th))
-    det, transverse = _certify(jac, opts)
+    _, norms, min_sep = _residual_kernel(pts, curve.diameter)
+    det, transverse = _certify(_jacobian_kernel(pts, _tangents_at(curve, th)), opts)
     return [
         Solution(
             theta=th[i],
@@ -658,7 +671,14 @@ def find_all(
         extra = np.asarray(extra_seeds, dtype=float).reshape(-1, 4)
         if extra.size:
             seeds = np.vstack([seeds, extra])
-    thetas, norms, status, _ = _newton_batch(curve, seeds, opts)
+    # a row repeated exactly after Newton's reduction mod 2pi has the same iterates;
+    # lexsort is stable, so each run of equal rows starts with the first copy
+    with np.errstate(invalid="ignore"):
+        reduced = np.mod(seeds, TWO_PI)
+    order = np.lexsort(reduced.T)
+    repeat = np.zeros(len(seeds), dtype=bool)
+    repeat[order[1:]] = (reduced[order[1:]] == reduced[order[:-1]]).all(axis=1)
+    thetas, norms, status, _ = _newton_batch(curve, seeds[~repeat], opts)
 
     flags = []
     if np.any(status == _STATUS_NEAR_BOUNDARY):

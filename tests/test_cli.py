@@ -316,6 +316,37 @@ def test_invalid_solver_flag_exits_1(curve_file, tmp_path, capsys, flag, value, 
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["find"],
+        ["find", "--curve"],
+        ["find", "--curve", "{c}", "--grid", "x"],
+        ["find", "--curve", "{c}", "--bogus"],
+        ["--bogus"],
+        ["nope"],
+        # abbreviations are not taken for --target and --tol
+        ["track", "--curve", "{c}", "--tar", "{c}"],
+        ["find", "--curve", "{c}", "--to", "1e-9"],
+        ["find", "--cur", "{c}"],
+    ],
+)
+def test_usage_errors_exit_1(args, curve_file, tmp_path, capsys):
+    # argparse's own code is 2, which here means degenerate results
+    report = tmp_path / "r.json"
+    path = curve_file(ELLIPSE)
+    assert main([a.format(c=path) for a in args] + ["--json", str(report)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["find", "--help"], ["track", "-h"]])
+def test_help_exits_0(args, capsys):
+    assert main(args) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_public_api_is_pinned(curve_file, capsys):
     # growing any of these needs a reason in CHANGES.md; update this test with it
     assert squarepeg.__all__ == [

@@ -284,6 +284,25 @@ def test_close_pairs_match_kd_tree(dim):
             assert close_pairs_set(pts, radius) == query_pairs_reference(pts, radius)
 
 
+@pytest.mark.parametrize("skip", [1, 4, 40])
+def test_close_pairs_skip_drops_only_index_near_pairs(skip):
+    # a closed curve's samples in index order, and random points: the pairs
+    # kept are exactly the default's pairs more than ``skip`` indices apart
+    # around the circle, in the same order
+    rng = np.random.default_rng(skip)
+    curve = perturb(make_ellipse(2, 1), 0.12, 8, seed=3)
+    samples = curve.eval(TWO_PI * np.arange(512) / 512)
+    kept = dropped = 0
+    for pts, radius in ((samples, 0.05), (samples, 0.5), (rng.normal(size=(300, 3)), 0.4)):
+        i, j = _close_pairs(pts, radius)
+        sep = j - i
+        far = np.minimum(sep, len(pts) - sep) > skip
+        got_i, got_j = _close_pairs(pts, radius, skip=skip)
+        assert np.array_equal(got_i, i[far]) and np.array_equal(got_j, j[far])
+        kept, dropped = kept + far.sum(), dropped + (~far).sum()
+    assert kept > 0 and dropped > 0
+
+
 def test_regularity_check_rejects_degenerate_curve():
     with pytest.raises(RegularityLost):
         Curve([0, 0], [[1.0], [0.0]], [[0.0], [0.0]])  # (cos t, 0) stalls at t=0

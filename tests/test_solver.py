@@ -264,7 +264,8 @@ def test_newton_step_all_regular_batch_matches_masked_route(ellipse21, monkeypat
     rng = np.random.default_rng(33)
     seeds = seed_grid(12)[rng.permutation(495)[:200]]
     pts, tan = solver._points_at(ellipse21, seeds), solver._tangents_at(ellipse21, seeds)
-    res, _, _, jac = solver._kernel(pts, ellipse21.diameter, tan)
+    res, _, _ = solver._residual_kernel(pts, ellipse21.diameter)
+    jac = solver._jacobian_kernel(pts, tan)
     _, keep = newton_step_masked(jac, res.T)
     jac, res = jac[..., keep], res[keep]
     rows = count_rows(monkeypatch, np.linalg, "pinv", axis=0)
@@ -404,17 +405,18 @@ def test_newton_batch_work_on_ellipse(ellipse21, monkeypatch):
 
 
 def test_line_search_makes_at_most_two_trial_calls_per_iteration(ellipse21, monkeypatch):
-    # each Newton iteration takes one kernel call with tangents, then tries
-    # the full step and, for the rows it does not improve, all ten halvings
-    # in one more call
+    # each Newton iteration takes one Jacobian kernel call, then tries the
+    # full step and, for the rows it does not improve, all ten halvings in
+    # one more residual kernel call
     calls = []
-    inner = solver._kernel
+    for name, mark in (("_residual_kernel", "r"), ("_jacobian_kernel", "J")):
+        inner = getattr(solver, name)
 
-    def counting(pts, diameter, tan=None):
-        calls.append("J" if tan is not None else "r")
-        return inner(pts, diameter, tan)
+        def counting(*args, inner=inner, mark=mark):
+            calls.append(mark)
+            return inner(*args)
 
-    monkeypatch.setattr(solver, "_kernel", counting)
+        monkeypatch.setattr(solver, name, counting)
     # the full seed grid, so that many iterations run
     thetas, _, status, _ = _newton_batch(ellipse21, seed_grid(24), SolverOptions())
     runs = "".join(calls).split("J")
@@ -598,6 +600,31 @@ def wiggly8() -> Curve:
 def trefoil() -> Curve:
     """(sin t + 2 sin 2t, cos t - 2 cos 2t, -sin 3t)."""
     return Curve([0, 0, 0], [[0, 0, 0], [1, -2, 0], [0, 0, 0]], [[1, 2, 0], [0, 0, 0], [0, 0, -1]])
+
+
+@pytest.mark.parametrize("name", ["ellipse", "three-lobe", "trefoil"])
+def test_find_all_runs_each_repeated_seed_once(name, three_lobe, monkeypatch):
+    # the two numberings of a lattice share most minima; fed again as extra
+    # seeds, the scan's own rows change neither Newton's rows nor the answer
+    curve = {"ellipse": make_ellipse(2, 1), "three-lobe": three_lobe, "trefoil": trefoil()}[name]
+    seeds = solver._scan_seeds(curve, SolverOptions().grid)
+    rows = []
+    inner = solver._newton_batch
+
+    def counting(curve, seeds, opts):
+        rows.append(len(seeds))
+        return inner(curve, seeds, opts)
+
+    monkeypatch.setattr(solver, "_newton_batch", counting)
+    plain = find_all(curve)
+    again = find_all(curve, extra_seeds=seeds)
+    assert rows[0] == rows[1] < len(seeds)
+    assert len(np.unique(np.mod(seeds, 2 * np.pi), axis=0)) == rows[0]
+    assert (plain.parity, plain.degeneracy_flags) == (again.parity, again.degeneracy_flags)
+    assert len(plain.classes) == len(again.classes) > 0
+    for a, b in zip(plain.classes, again.classes):
+        for field in ("theta", "residual_norm", "jac_det", "transverse", "min_separation"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_find_all_wiggly8_finds_its_small_classes():

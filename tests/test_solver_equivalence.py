@@ -24,6 +24,7 @@ from squarepeg import (
 )
 from squarepeg import solver
 from squarepeg.config import _ordered_batch
+from squarepeg.slq import G_TARGET
 from squarepeg.solver import (
     _STATUS_CONVERGED,
     _STATUS_DIVERGED,
@@ -245,12 +246,62 @@ def test_cluster_labels_empty():
     assert _representatives(canon, labels).shape == (0,)
 
 
+def kernel_reference(pts, diameter, tan=None):
+    """Residual, sup-norms, min separation and (given tangents) Jacobian from
+    one kernel call: the reference that the split kernels match bit for bit."""
+    coords = np.ascontiguousarray(pts.T)
+    diff = coords[:, solver._PAIR_I] - coords[:, solver._PAIR_J]
+    sq = (diff * diff).sum(0)
+    min_sep = np.sqrt(sq.min(axis=0))
+    nd = solver._NUM_DEN @ sq
+    num, den = nd[:4], nd[4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = num / den
+        res = g - G_TARGET[:, None]
+        norms = np.abs(res).max(axis=0)
+    ok = (min_sep > solver.MACHINE_SEP * diameter) & np.isfinite(norms)
+    norms = np.where(ok, norms, np.inf)
+    if tan is None:
+        return res.T, norms, min_sep, None
+    tangents = np.ascontiguousarray(tan.T)[:, solver._PAIR_IJ]
+    dots = (np.concatenate([diff, diff], axis=1) * tangents).sum(0)
+    dnd = (solver._DOTS_TO_DNUM_DEN.T @ dots).reshape(8, 4, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = (dnd[:4] - g[:, None] * dnd[4:]) / den[:, None]
+    return res.T, norms, min_sep, jac
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_split_kernels_match_the_single_kernel(dim):
+    # random points and tangents, with coincident vertices (norm +inf, nan
+    # Jacobian entries), one non-finite row and tiny and huge scales
+    rng = np.random.default_rng(70 + dim)
+    for m in (1, 2, 7, 300):
+        pts = rng.normal(size=(m, 4, dim)) * 10.0 ** rng.uniform(-4, 4, size=(m, 1, 1))
+        tan = rng.normal(size=(m, 4, dim))
+        pts[::3, 2] = pts[::3, 1]
+        pts[::5, 3] = pts[::5, 0]
+        pts[-1, 1, 0] = [np.nan, np.inf][m % 2]
+        diameter = float(np.abs(pts[np.isfinite(pts)]).max())
+        with np.errstate(invalid="ignore"):  # inf * 0 in the matrix products
+            res, norms, min_sep, jac = kernel_reference(pts, diameter, tan)
+            got = solver._residual_kernel(pts, diameter)
+            got_jac = solver._jacobian_kernel(pts, tan)
+        for a, b in zip(got + (got_jac,), (res, norms, min_sep, jac)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        assert np.isnan(jac[..., ::3]).any(axis=(0, 1)).all()
+        assert np.isinf(norms[::3]).all() and np.isinf(norms[-1])
+        if m > 2:
+            assert np.isfinite(norms).any()
+
+
 def newton_batch_reference(curve, seeds, opts):
     """``_newton_batch`` with the damping fractions 2^-k tried one at a time."""
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
     pts = solver._points_at(curve, thetas)
-    res, norms, min_sep, _ = solver._kernel(pts, curve.diameter)
+    res, norms, min_sep, _ = kernel_reference(pts, curve.diameter)
     converged = norms < opts.tol_residual
     active = np.isfinite(norms)
     used_singular = np.zeros(m, dtype=bool)
@@ -259,7 +310,7 @@ def newton_batch_reference(curve, seeds, opts):
         if not idx.size:
             break
         tan = solver._tangents_at(curve, thetas[idx])
-        _, _, _, jac = solver._kernel(pts[idx], curve.diameter, tan)
+        _, _, _, jac = kernel_reference(pts[idx], curve.diameter, tan)
         step, regular = solver._newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
         live = np.arange(len(idx))
@@ -269,7 +320,7 @@ def newton_batch_reference(curve, seeds, opts):
             rows = idx[live]
             trial = np.mod(thetas[rows] + 0.5**k * step[live], TWO_PI)
             trial_pts = solver._points_at(curve, trial)
-            trial_res, trial_norm, trial_sep, _ = solver._kernel(trial_pts, curve.diameter)
+            trial_res, trial_norm, trial_sep, _ = kernel_reference(trial_pts, curve.diameter)
             better = trial_norm < norms[rows]
             hit = rows[better]
             thetas[hit] = trial[better]
