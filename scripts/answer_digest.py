@@ -14,11 +14,18 @@ embedding check at 1,024 and 4,096 samples.  ``track``: ``ts``, the class
 counts, the events and each step's class angles.  Inputs: the benchmark's
 reference curves, seeded find-suite curves and track paths, the reverse path
 three-lobe -> ellipse (a death), the golden curves of ``tests/test_solver.py``
-and two ellipses with close roots.
+and two ellipses with close roots.  ``cli``: the exit code and the
+``--json`` (without ``timings``), ``--csv`` and ``--svg`` outputs of a
+``squarepeg find`` child run on this checkout's sources, for each curve file
+in ``perfbench/data``.
 """
 
 import hashlib
+import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +83,25 @@ def track_digest(c0, c1, steps) -> str:
     return h.hexdigest()
 
 
+def cli_digest(curve_file: Path) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {ext: Path(tmp) / f"out.{ext}" for ext in ("json", "csv", "svg")}
+        argv = [sys.executable, "-m", "squarepeg.cli", "find", "--curve", str(curve_file)]
+        for ext, path in outputs.items():
+            argv += [f"--{ext}", str(path)]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+        if proc.returncode not in (0, 2):  # 2: a degenerate answer, still an answer
+            sys.exit(f"squarepeg find {curve_file} exited {proc.returncode}: {proc.stderr}")
+        report = json.loads(outputs["json"].read_text())
+        del report["timings"]
+        h = hashlib.sha256(repr(proc.returncode).encode())
+        h.update(json.dumps(report).encode())
+        h.update(outputs["csv"].read_bytes())
+        h.update(outputs["svg"].read_bytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     ellipse = sp.make_ellipse(2, 1)
     curves = {}
@@ -93,6 +119,8 @@ def main() -> None:
     paths["three-lobe->ellipse"] = (suite.three_lobe(), ellipse, 16)
     for label, (c0, c1, steps) in paths.items():
         print(f"track {label} {track_digest(c0, c1, steps)}", flush=True)
+    for curve_file in sorted((ROOT / "perfbench" / "data").glob("*.json")):
+        print(f"cli {curve_file.stem} {cli_digest(curve_file)}", flush=True)
 
 
 if __name__ == "__main__":

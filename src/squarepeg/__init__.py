@@ -18,23 +18,12 @@ from .config import (
     s_ratio,
     strata_proximity,
 )
-from .continuation import ContinuationTrace, TrackEvent, interpolate, track
 from .curve import (
     Curve,
     curve_from_json_dict,
     make_ellipse,
     perturb,
     regularity_and_embedding_check,
-)
-from .slq import (
-    QuadMeasurements,
-    Variation4,
-    f_hat,
-    f_map,
-    g_directional_derivative,
-    g_map,
-    make_bent_rhombus,
-    measurements,
 )
 from .solver import (
     SolverOptions,
@@ -49,18 +38,36 @@ from .solver import (
     residual,
     seed_grid,
 )
-from .verify import (
-    EquivalenceReport,
-    ellipse_basis,
-    ellipse_dg_matrix,
-    ellipse_square,
-    ellipse_square_angles,
-    equivalence_harness,
-    mu_pushforward_dg_matrix,
-    mu_pushforward_nonplanar_dg_matrix,
-    nonplanar_basis,
-    nonplanar_dg_matrix,
-)
+
+#: public names of the submodules imported on first access (PEP 562), so that
+#: ``squarepeg find`` does not compile and run code it never calls
+_LAZY = {
+    "continuation": ("ContinuationTrace", "TrackEvent", "interpolate", "track"),
+    "slq": ("QuadMeasurements", "Variation4", "f_hat", "f_map", "g_directional_derivative",
+            "g_map", "make_bent_rhombus", "measurements"),
+    "verify": ("EquivalenceReport", "ellipse_basis", "ellipse_dg_matrix", "ellipse_square",
+               "ellipse_square_angles", "equivalence_harness", "mu_pushforward_dg_matrix",
+               "mu_pushforward_nonplanar_dg_matrix", "nonplanar_basis", "nonplanar_dg_matrix"),
+}  # fmt: skip
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")  # the import binds it here too
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(__getattr__(module), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # what the namespace holds once every submodule is imported
+    names = globals().keys() - {"_LAZY", "__getattr__", "__dir__"}
+    return sorted(names.union(_LAZY, *_LAZY.values()))
+
 
 __version__ = "0.1.0"
 

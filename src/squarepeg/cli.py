@@ -14,12 +14,10 @@ import argparse
 import json
 import sys
 import time
-from inspect import signature
 
 import numpy as np
 
 from .config import strata_proximity
-from .continuation import track
 from .curve import Curve, curve_from_json_dict, regularity_and_embedding_check
 from .errors import NonTransversePath, RegularityLost, SquarePegError
 from .reporting import (
@@ -30,13 +28,10 @@ from .reporting import (
     write_json,
     write_svg,
 )
-from .solver import SolverOptions, find_all
-from .verify import (
-    ellipse_dg_matrix,
-    ellipse_square,
-    equivalence_harness,
-    mu_pushforward_dg_matrix,
-)
+from .solver import TRACK_STEPS, SolverOptions, find_all
+
+# ``continuation`` and ``verify`` are imported by the commands that call them,
+# so that a cold ``find`` neither compiles nor runs them
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -81,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("track", help="continuation between two curves", allow_abbrev=False)
     tr.add_argument("--curve", required=True, help="start curve JSON file")
     tr.add_argument("--target", required=True, help="end curve JSON file")
-    tr.add_argument("--steps", type=int, default=signature(track).parameters["steps"].default)
+    tr.add_argument("--steps", type=int, default=TRACK_STEPS)
     _add_solver_flags(tr)
     _add_output_flags(tr)
 
@@ -149,6 +144,8 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_verify_ellipse(args) -> int:
+    from .verify import ellipse_dg_matrix, ellipse_square, mu_pushforward_dg_matrix
+
     square = ellipse_square(args.a, args.b)
     mat = ellipse_dg_matrix(args.a, args.b)
     pushed = mu_pushforward_dg_matrix(args.a, args.b)
@@ -182,6 +179,8 @@ def _cmd_verify_ellipse(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
+    from .verify import equivalence_harness
+
     report = equivalence_harness(args.trials, args.seed)
     print(f"equivalence harness, {report.trials} trials (seed {args.seed})")
     print(f"  square-like: max |g residual| = {report.max_g_squarelike:.3e}")
@@ -204,6 +203,8 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    from .continuation import track
+
     c0 = _load_curve(args.curve)
     c1 = _load_curve(args.target)
     opts = _solver_options(args)

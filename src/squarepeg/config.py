@@ -7,6 +7,7 @@ functions are indexed throughout the package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,18 @@ import numpy as np
 from .errors import CoincidentPoints, IndeterminateRatio
 
 TWO_PI = 2.0 * np.pi
+
+#: target value of the squared-ratio residual g on square-like quadrilaterals
+G_TARGET = np.array([1.0, 1.0, 1.0, 0.0])
+
+
+def _as_count(name: str, value) -> int:
+    """``value`` as an int, numpy integers included; ``ValueError`` naming
+    ``name`` for a float or any other non-integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def direction(p, q) -> np.ndarray:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import TWO_PI
+from .config import TWO_PI, _as_count
 from .curve import Curve, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
-from .solver import SolveReport, SolverOptions, _class_distances, find_all
+from .solver import TRACK_STEPS, SolveReport, SolverOptions, _class_distances, find_all
 
 #: lattice size of interior steps (endpoints use ``opts.grid``)
 FRESH_GRID = 12
@@ -82,7 +82,7 @@ class ContinuationTrace:
 def track(
     c0: Curve,
     c1: Curve,
-    steps: int = 64,
+    steps: int = TRACK_STEPS,
     opts: SolverOptions | None = None,
 ) -> ContinuationTrace:
     """Follow the solution classes of (1-t) c0 + t c1 for t in [0, 1].
@@ -94,7 +94,7 @@ def track(
     embedding check, and ``NonTransversePath`` if a step withholds parity
     even after one retry at a shifted parameter.
     """
-    if steps < 1:
+    if _as_count("steps", steps) < 1:
         raise ValueError("steps must be >= 1")
     opts = opts or SolverOptions()
     interior = replace(opts, grid=FRESH_GRID)

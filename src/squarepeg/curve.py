@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TWO_PI
+from .config import TWO_PI, _as_count
 from .errors import RegularityLost
 
 #: samples used for the construction-time regularity check
@@ -140,9 +140,10 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
     fixed seed reproduces the same curve bit for bit.  Raises
     ``RegularityLost`` if the result fails the regularity check.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
-    if max_harmonic < 0:
+    # the comparison is False for nan, so it also rejects it
+    if not 0 <= amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
+    if _as_count("max_harmonic", max_harmonic) < 0:
         raise ValueError("max_harmonic must be >= 0")
     if amplitude == 0 or max_harmonic == 0:
         return Curve(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
@@ -169,7 +170,7 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     ``_close_pairs`` returns every pair outside the band no farther apart
     than that bound; the minimum is the bound or the nearest of those pairs.
     """
-    if samples < 16:
+    if _as_count("samples", samples) < 16:
         raise ValueError("samples must be >= 16")
     theta = TWO_PI * np.arange(samples) / samples
     min_speed = float(np.linalg.norm(curve.deriv(theta), axis=1).min())

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config4
+from .config import G_TARGET, Config4
 from .errors import CoincidentPoints, DegenerateConfiguration, NotOnSlq
-
-#: target value of g_map on square-like quadrilaterals
-G_TARGET = np.array([1.0, 1.0, 1.0, 0.0])
 
 #: how far g_map may sit from G_TARGET for the simplified derivative to apply
 ON_SLQ_TOL = 1e-8

@@ -17,7 +17,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import TWO_PI, Config4, _component_labels, _ordered_batch, ordered_component_check
+from .config import (
+    G_TARGET,
+    TWO_PI,
+    Config4,
+    _as_count,
+    _component_labels,
+    _ordered_batch,
+    ordered_component_check,
+)
 from .curve import Curve
 from .errors import (
     DegenerateConfiguration,
@@ -26,7 +34,6 @@ from .errors import (
     NearBoundary,
     SingularJacobianDuringIteration,
 )
-from .slq import G_TARGET
 
 #: minimum separation (relative to diameter) below which G is not evaluated
 MACHINE_SEP = 1e-9
@@ -101,6 +108,9 @@ _DISTANCE_BLOCK_ROWS = 256
 #: row s indexes np.roll(tuple, s), for the four cyclic shifts at once
 _CYCLIC_SHIFTS = (np.arange(4) - np.arange(4)[:, None]) % 4
 
+#: steps of ``continuation.track`` by default, and of the CLI's ``track``
+TRACK_STEPS = 64
+
 _STATUS_CONVERGED = 0
 _STATUS_DIVERGED = 1
 _STATUS_LEFT_ORDERED = 2
@@ -117,6 +127,9 @@ class SolverOptions:
     det_threshold: float = 1e-8
 
     def __post_init__(self):
+        for name in ("grid", "max_iters"):
+            # a numpy integer is stored as an int, which the JSON report can hold
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         # the comparisons are False for nan, so each also rejects it
         checks = (
             ("grid", self.grid >= 4, ">= 4"),
@@ -251,7 +264,7 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     rotation when the minimum lies below pi/2, which pre-quotients the cyclic
     relabeling approximately while Newton remains free to leave the region.
     """
-    if n_per_axis < 4:
+    if _as_count("n_per_axis", n_per_axis) < 4:
         raise ValueError("n_per_axis must be >= 4")
     values = TWO_PI * np.arange(n_per_axis) / n_per_axis
     combos = _combinations(n_per_axis)

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config4, cyclic_relabel
+from .config import G_TARGET, Config4, _as_count, cyclic_relabel
 from .errors import NotOnSlq, PlanarConfiguration
 from .slq import (
-    G_TARGET,
     Variation4,
     f_map,
     g_directional_derivative,
@@ -223,7 +222,7 @@ def equivalence_harness(trials: int, seed: int) -> EquivalenceReport:
     by at least 1%.  Both maps must vanish on the first family and register
     the second.
     """
-    if trials < 1:
+    if _as_count("trials", trials) < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     max_g_sq = 0.0

@@ -235,6 +235,21 @@ def test_strata_report(curve_file, tmp_path):
     assert payload["classes"][0]["min_separation"] > 0.1
 
 
+LAZY_MODULES = ("squarepeg.continuation", "squarepeg.slq", "squarepeg.verify")
+
+
+def _run_python(code: str, *args) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    ).stdout
+
+
 def test_runtime_never_imports_scipy(curve_file, tmp_path):
     # the package runs on numpy alone; scipy is a test dependency
     ellipse = curve_file(ELLIPSE, name="e.json")
@@ -252,16 +267,61 @@ def test_runtime_never_imports_scipy(curve_file, tmp_path):
         "assert squarepeg.cli.main(['strata-report', *a]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", code, ellipse, three, out],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
+    assert _run_python(code, ellipse, three, out).strip() == "[]"
+
+
+def test_find_leaves_lazy_modules_unloaded(curve_file, tmp_path):
+    # a cold ``find`` skips continuation, verify and slq; the other commands load them
+    ellipse = curve_file(ELLIPSE, name="e.json")
+    three = curve_file(three_lobe_curve().to_json_dict(), name="three.json")
+    out = str(tmp_path / "out.json")
+    code = (
+        "import json, sys\n"
+        "import squarepeg.cli as cli\n"
+        "e, t, out = sys.argv[1:4]\n"
+        "runs = {'find': cli.main(['find', '--curve', e, '--json', out])}\n"
+        f"runs['loaded'] = [m for m in {LAZY_MODULES!r} if m in sys.modules]\n"
+        "for argv in (['verify-ellipse', '--a', '2', '--b', '1'], ['equivalence', '--trials', '20'],\n"
+        "             ['track', '--curve', e, '--target', t, '--steps', '4'],\n"
+        "             ['strata-report', '--curve', t]):\n"
+        "    runs[argv[0]] = cli.main([*argv, '--json', out])\n"
+        "print(json.dumps(runs))\n"
     )
-    assert result.stdout.strip() == "[]"
+    runs = json.loads(_run_python(code, ellipse, three, out).splitlines()[-1])
+    assert runs == {"find": 0, "loaded": [], "verify-ellipse": 0, "equivalence": 0,
+                    "track": 0, "strata-report": 0}  # fmt: skip
+
+
+def test_lazy_public_names_resolve():
+    code = (
+        "import json, sys\n"
+        "import squarepeg\n"
+        "lazy_dir = dir(squarepeg)\n"
+        f"loaded = [m for m in {LAZY_MODULES!r} if m in sys.modules]\n"
+        "try:\n"
+        "    squarepeg.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "resolved = [n for n in squarepeg.__all__ if getattr(squarepeg, n) is not None]\n"
+        "cached = [n for n in squarepeg.__all__ if n in vars(squarepeg)]\n"
+        "star = {}\n"
+        "exec('from squarepeg import *', star)\n"
+        "star.pop('__builtins__')\n"
+        "print(json.dumps({'loaded': loaded, 'missing': missing, 'resolved': resolved,\n"
+        "                  'cached': cached, 'star': sorted(star),\n"
+        "                  'same_dir': dir(squarepeg) == lazy_dir,\n"
+        "                  'track_home': squarepeg.track.__module__,\n"
+        "                  'submodules': [type(getattr(squarepeg, m)).__name__\n"
+        "                                 for m in ('continuation', 'slq', 'verify')]}))\n"
+    )
+    got = json.loads(_run_python(code).splitlines()[-1])
+    assert got["loaded"] == []
+    assert "no_such_name" in got["missing"]
+    assert got["resolved"] == got["cached"] == squarepeg.__all__
+    assert got["star"] == sorted(squarepeg.__all__) and len(got["star"]) == 48
+    assert got["same_dir"]
+    assert got["track_home"] == "squarepeg.continuation"
+    assert got["submodules"] == ["module"] * 3
 
 
 def test_solver_flags_accepted(curve_file, tmp_path):

@@ -113,6 +113,13 @@ def test_track_refinement_keeps_parity(ellipse21, three_lobe):
     assert coarse.class_counts[-1] == fine.class_counts[-1]
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2"])
+def test_track_rejects_non_integral_steps(ellipse21, bad):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        track(ellipse21, ellipse21, steps=bad)
+    assert track(ellipse21, ellipse21, steps=np.int64(1)).class_counts == [1, 1]
+
+
 def test_track_regularity_lost(ellipse21):
     mirrored = Curve(
         ellipse21.a0, -np.asarray(ellipse21.cos_coeffs), -np.asarray(ellipse21.sin_coeffs)

@@ -144,6 +144,25 @@ def test_perturb_same_seed_bitwise_identical(ellipse21):
     assert not np.array_equal(one.cos_coeffs, three.cos_coeffs)
 
 
+@pytest.mark.parametrize(
+    "amplitude,max_harmonic,match",
+    [
+        (0.1, 2.5, "max_harmonic must be an integer"),
+        (0.1, 2.0, "max_harmonic must be an integer"),
+        (0.1, np.float64(2.0), "max_harmonic must be an integer"),
+        (np.nan, 2, "amplitude must be finite"),
+        (np.inf, 2, "amplitude must be finite"),
+        (-np.inf, 2, "amplitude must be finite"),
+        (-0.1, 2, "amplitude must be finite and >= 0"),
+    ],
+)
+def test_perturb_rejects_bad_amplitude_and_harmonic(ellipse21, amplitude, max_harmonic, match):
+    with pytest.raises(ValueError, match=match):
+        perturb(ellipse21, amplitude, max_harmonic, seed=1)
+    same = perturb(ellipse21, 0.1, np.int64(2), seed=1)
+    assert np.array_equal(same.cos_coeffs, perturb(ellipse21, 0.1, 2, seed=1).cos_coeffs)
+
+
 def test_perturb_seed7_stays_regular(ellipse21):
     curve = perturb(ellipse21, 0.05, 5, seed=7)
     report = regularity_and_embedding_check(curve, samples=4096)
@@ -311,6 +330,15 @@ def test_regularity_check_rejects_degenerate_curve():
 def test_regularity_check_sample_floor(ellipse21):
     with pytest.raises(ValueError):
         regularity_and_embedding_check(ellipse21, samples=8)
+
+
+@pytest.mark.parametrize("bad", [100.5, 100.0, np.float64(100.0), "100"])
+def test_regularity_check_rejects_non_integral_samples(ellipse21, bad):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        regularity_and_embedding_check(ellipse21, bad)
+    assert regularity_and_embedding_check(ellipse21, np.int64(100)) == (
+        regularity_and_embedding_check(ellipse21, 100)
+    )
 
 
 def test_json_roundtrip():

@@ -324,6 +324,22 @@ def test_seed_grid_contract():
         seed_grid(3)
 
 
+@pytest.mark.parametrize("bad", [6.5, 8.0, np.float64(8.0), "8"])
+def test_seed_grid_rejects_non_integral_size(bad):
+    with pytest.raises(ValueError, match="n_per_axis must be an integer"):
+        seed_grid(bad)
+    assert np.array_equal(seed_grid(np.int64(8)), seed_grid(8))
+
+
+@pytest.mark.parametrize("field", ["grid", "max_iters"])
+@pytest.mark.parametrize("bad", [12.5, 12.0, np.float64(12.0), "12", None])
+def test_solver_options_reject_non_integral_counts(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverOptions(**{field: bad})
+    opts = SolverOptions(**{field: np.int64(12)})
+    assert opts == SolverOptions(**{field: 12}) and type(getattr(opts, field)) is int
+
+
 def test_newton_refine_converges_to_ellipse_square(ellipse21):
     target = 2 / np.sqrt(5)
     sol = newton_refine(ellipse21, ellipse_square_angles(2, 1) + 0.05)

@@ -201,3 +201,10 @@ def test_equivalence_harness_one_percent_diagonal():
 def test_equivalence_harness_rejects_zero_trials():
     with pytest.raises(ValueError):
         equivalence_harness(0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2"])
+def test_equivalence_harness_rejects_non_integral_trials(bad):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        equivalence_harness(bad, seed=1)
+    assert equivalence_harness(np.int64(2), seed=1) == equivalence_harness(2, seed=1)
