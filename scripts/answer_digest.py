@@ -17,7 +17,9 @@ three-lobe -> ellipse (a death), the golden curves of ``tests/test_solver.py``
 and two ellipses with close roots.  ``cli``: the exit code and the
 ``--json`` (without ``timings``), ``--csv`` and ``--svg`` outputs of a
 ``squarepeg find`` child run on this checkout's sources, for each curve file
-in ``perfbench/data``.
+in ``perfbench/data``.  ``api``: ``squarepeg.__all__``, ``dir(squarepeg)`` in a
+fresh child before any lazy name resolves, and the ``--help`` text of the
+CLI and of each subcommand at 100 columns.
 """
 
 import hashlib
@@ -102,6 +104,25 @@ def cli_digest(curve_file: Path) -> str:
     return h.hexdigest()
 
 
+API_CHILD = """
+import json, squarepeg
+names = dir(squarepeg)
+from squarepeg.cli import build_parser
+parser = build_parser()
+(commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+helps = [parser.format_help()] + [sub.format_help() for sub in commands.values()]
+print(json.dumps([squarepeg.__all__, names, helps]))
+"""
+
+
+def api_digest() -> str:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "100"}
+    proc = subprocess.run(
+        [sys.executable, "-c", API_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    return hashlib.sha256(proc.stdout.encode()).hexdigest()
+
+
 def main() -> None:
     ellipse = sp.make_ellipse(2, 1)
     curves = {}
@@ -121,6 +142,7 @@ def main() -> None:
         print(f"track {label} {track_digest(c0, c1, steps)}", flush=True)
     for curve_file in sorted((ROOT / "perfbench" / "data").glob("*.json")):
         print(f"cli {curve_file.stem} {cli_digest(curve_file)}", flush=True)
+    print(f"api {api_digest()}", flush=True)
 
 
 if __name__ == "__main__":

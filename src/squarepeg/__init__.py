@@ -71,53 +71,13 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config4",
-    "ContinuationTrace",
-    "Curve",
-    "EquivalenceReport",
-    "QuadMeasurements",
-    "Solution",
-    "SolveReport",
-    "SolverOptions",
-    "Stratum",
-    "TrackEvent",
-    "Variation4",
-    "block_cycle_orientation_sign",
-    "canonical_theta",
-    "class_distance",
-    "curve_from_json_dict",
-    "cyclic_relabel",
-    "direction",
-    "ellipse_basis",
-    "ellipse_dg_matrix",
-    "ellipse_square",
-    "ellipse_square_angles",
-    "equivalence_harness",
+#: the eager names, by module as imported above, and the lazy ones
+__all__ = sorted([
     "errors",
-    "f_hat",
-    "f_map",
-    "find_all",
-    "g_directional_derivative",
-    "g_map",
-    "interpolate",
-    "jacobian",
-    "make_bent_rhombus",
-    "make_ellipse",
-    "measurements",
-    "mu_pushforward_dg_matrix",
-    "mu_pushforward_nonplanar_dg_matrix",
-    "newton_refine",
-    "nonplanar_basis",
-    "nonplanar_dg_matrix",
-    "ordered_component_check",
-    "perturb",
-    "quotient_dedup",
-    "ratio",
-    "regularity_and_embedding_check",
-    "residual",
-    "s_ratio",
-    "seed_grid",
-    "strata_proximity",
-    "track",
-]
+    "Config4", "Stratum", "block_cycle_orientation_sign", "cyclic_relabel", "direction",
+    "ordered_component_check", "ratio", "s_ratio", "strata_proximity",
+    "Curve", "curve_from_json_dict", "make_ellipse", "perturb", "regularity_and_embedding_check",
+    "SolverOptions", "Solution", "SolveReport", "canonical_theta", "class_distance", "find_all",
+    "jacobian", "newton_refine", "quotient_dedup", "residual", "seed_grid",
+    *(name for names in _LAZY.values() for name in names),
+])  # fmt: skip

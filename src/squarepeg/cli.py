@@ -61,17 +61,22 @@ def build_parser() -> argparse.ArgumentParser:
     find_p = sub.add_parser("find", help="solve one curve and report classes", allow_abbrev=False)
     find_p.add_argument("--curve", required=True, help="curve JSON file")
     _add_solver_flags(find_p)
-    _add_output_flags(find_p, svg=True, csv=True)
+    _add_output_flags(find_p)
+    find_p.add_argument("--svg", help="write an SVG plot here (planar curves)")
+    find_p.add_argument("--csv", help="write the vertex CSV here")
+    find_p.set_defaults(handler=_cmd_find)
 
     ve = sub.add_parser("verify-ellipse", help="closed-form ellipse checks", allow_abbrev=False)
     ve.add_argument("--a", type=float, required=True)
     ve.add_argument("--b", type=float, required=True)
     _add_output_flags(ve)
+    ve.set_defaults(handler=_cmd_verify_ellipse)
 
     eq = sub.add_parser("equivalence", help="g/f residual equivalence harness", allow_abbrev=False)
     eq.add_argument("--trials", type=int, default=1000)
     eq.add_argument("--seed", type=int, default=1)
     _add_output_flags(eq)
+    eq.set_defaults(handler=_cmd_equivalence)
 
     tr = sub.add_parser("track", help="continuation between two curves", allow_abbrev=False)
     tr.add_argument("--curve", required=True, help="start curve JSON file")
@@ -79,11 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--steps", type=int, default=TRACK_STEPS)
     _add_solver_flags(tr)
     _add_output_flags(tr)
+    tr.set_defaults(handler=_cmd_track)
 
     st = sub.add_parser("strata-report", help="collision-proximity diagnostics", allow_abbrev=False)
     st.add_argument("--curve", required=True, help="curve JSON file")
     _add_solver_flags(st)
     _add_output_flags(st)
+    st.set_defaults(handler=_cmd_strata)
 
     return parser
 
@@ -95,18 +102,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, but 2 means degenerate results here
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        if args.command == "find":
-            return _cmd_find(args)
-        if args.command == "verify-ellipse":
-            return _cmd_verify_ellipse(args)
-        if args.command == "equivalence":
-            return _cmd_equivalence(args)
-        if args.command == "track":
-            return _cmd_track(args)
-        if args.command == "strata-report":
-            return _cmd_strata(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RegularityLost, NonTransversePath) as exc:
@@ -133,9 +130,9 @@ def _cmd_find(args) -> int:
     timings = {"solve_s": time.perf_counter() - t0}
     payload = report_to_dict(curve, opts, report, timings)
     _emit_json(args, payload)
-    if getattr(args, "csv", None):
+    if args.csv:
         write_csv(args.csv, curve, report)
-    if getattr(args, "svg", None):
+    if args.svg:
         if curve.dim == 2:
             write_svg(args.svg, curve, report)
         else:
@@ -173,7 +170,7 @@ def _cmd_verify_ellipse(args) -> int:
         "matrix": mat.tolist(),
         "pushforward_matrix": pushed.tolist(),
     }
-    if getattr(args, "json", None):
+    if args.json:
         write_json(args.json, payload)
     return EXIT_OK
 
@@ -197,7 +194,7 @@ def _cmd_equivalence(args) -> int:
         "min_f_violated": report.min_f_violated,
         "passed": report.passed,
     }
-    if getattr(args, "json", None):
+    if args.json:
         write_json(args.json, payload)
     return EXIT_OK if report.passed else EXIT_DEGENERATE
 
@@ -259,12 +256,8 @@ def _add_solver_flags(parser) -> None:
         parser.add_argument(flag, dest=name, type=type(default), default=default, help=help_text)
 
 
-def _add_output_flags(parser, svg: bool = False, csv: bool = False) -> None:
+def _add_output_flags(parser) -> None:
     parser.add_argument("--json", help="write the JSON report here (default stdout)")
-    if svg:
-        parser.add_argument("--svg", help="write an SVG plot here (planar curves)")
-    if csv:
-        parser.add_argument("--csv", help="write the vertex CSV here")
 
 
 def _solver_options(args) -> SolverOptions:
@@ -278,7 +271,7 @@ def _load_curve(path: str) -> Curve:
 
 
 def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         write_json(args.json, payload)
     else:
         json.dump(payload, sys.stdout, indent=2)

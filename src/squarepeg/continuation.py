@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TWO_PI, _as_count
-from .curve import Curve, regularity_and_embedding_check
+from .curve import Curve, _zero_padded, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
 from .solver import TRACK_STEPS, SolveReport, SolverOptions, _class_distances, find_all
 
@@ -36,17 +36,11 @@ def interpolate(c0: Curve, c1: Curve, t: float) -> Curve:
     if c0.dim != c1.dim:
         raise DimensionMismatch(f"curve dims differ: {c0.dim} vs {c1.dim}")
     h = max(c0.harmonics, c1.harmonics)
-
-    def pad(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((m.shape[0], h))
-        out[:, : m.shape[1]] = m
-        return out
-
     s = float(t)
     return Curve(
         (1.0 - s) * c0.a0 + s * c1.a0,
-        (1.0 - s) * pad(c0.cos_coeffs) + s * pad(c1.cos_coeffs),
-        (1.0 - s) * pad(c0.sin_coeffs) + s * pad(c1.sin_coeffs),
+        (1.0 - s) * _zero_padded(c0.cos_coeffs, h) + s * _zero_padded(c1.cos_coeffs, h),
+        (1.0 - s) * _zero_padded(c0.sin_coeffs, h) + s * _zero_padded(c1.sin_coeffs, h),
     )
 
 

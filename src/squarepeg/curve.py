@@ -149,14 +149,19 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
         return Curve(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
     k = curve.dim
     h_new = max(curve.harmonics, max_harmonic)
-    cos_c = np.zeros((k, h_new))
-    sin_c = np.zeros((k, h_new))
-    cos_c[:, : curve.harmonics] = curve.cos_coeffs
-    sin_c[:, : curve.harmonics] = curve.sin_coeffs
+    cos_c = _zero_padded(curve.cos_coeffs, h_new)
+    sin_c = _zero_padded(curve.sin_coeffs, h_new)
     rng = np.random.default_rng(seed)
     cos_c[:, :max_harmonic] += rng.uniform(-amplitude, amplitude, size=(k, max_harmonic))
     sin_c[:, :max_harmonic] += rng.uniform(-amplitude, amplitude, size=(k, max_harmonic))
     return Curve(curve.a0, cos_c, sin_c)
+
+
+def _zero_padded(coeffs: np.ndarray, h: int) -> np.ndarray:
+    """A new (k, h) copy of the (k, H) coefficient block, H <= h, zeros after column H."""
+    out = np.zeros((coeffs.shape[0], h))
+    out[:, : coeffs.shape[1]] = coeffs
+    return out
 
 
 def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -> dict:

@@ -14,6 +14,9 @@ from .solver import SIZE_FLOOR, SolveReport, SolverOptions
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628")
 
+#: curve samples of the SVG polyline
+SVG_SAMPLES = 1024
+
 
 def curve_hash(curve: Curve) -> str:
     """SHA-256 of the canonical JSON form of the curve coefficients."""
@@ -89,7 +92,7 @@ def write_csv(path: str, curve: Curve, report: SolveReport) -> None:
                 )
 
 
-def write_svg(path: str, curve: Curve, report: SolveReport, samples: int = 1024) -> None:
+def write_svg(path: str, curve: Curve, report: SolveReport) -> None:
     """Plot of the curve (one closed polyline) plus one polygon per class.
 
     Only defined for planar curves.  The y axis is negated on emission to
@@ -97,7 +100,7 @@ def write_svg(path: str, curve: Curve, report: SolveReport, samples: int = 1024)
     """
     if curve.dim != 2:
         raise ValueError("SVG output requires a planar curve")
-    theta = TWO_PI * np.arange(samples) / samples
+    theta = TWO_PI * np.arange(SVG_SAMPLES) / SVG_SAMPLES
     pts = curve.eval(theta)
     quads = [sol.config.points for sol in report.classes]
     everything = np.vstack([pts] + quads) if quads else pts

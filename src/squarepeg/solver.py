@@ -108,6 +108,9 @@ _DISTANCE_BLOCK_ROWS = 256
 #: row s indexes np.roll(tuple, s), for the four cyclic shifts at once
 _CYCLIC_SHIFTS = (np.arange(4) - np.arange(4)[:, None]) % 4
 
+#: largest lattice size: the scan's memory grows as C(grid, 4), about 1.1 GB at 96
+MAX_GRID = 96
+
 #: steps of ``continuation.track`` by default, and of the CLI's ``track``
 TRACK_STEPS = 64
 
@@ -132,7 +135,7 @@ class SolverOptions:
             object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         # the comparisons are False for nan, so each also rejects it
         checks = (
-            ("grid", self.grid >= 4, ">= 4"),
+            ("grid", 4 <= self.grid <= MAX_GRID, f"in [4, {MAX_GRID}]"),
             ("max_iters", self.max_iters >= 1, ">= 1"),
             ("tol_residual", 0 < self.tol_residual < np.inf, "finite and > 0"),
             ("dedup_radius", 0 < self.dedup_radius < np.inf, "finite and > 0"),
@@ -175,19 +178,8 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# residual and Jacobian
-
-
-def _points_at(curve: Curve, thetas: np.ndarray) -> np.ndarray:
-    """(m, 4) angles -> (m, 4, k) curve points."""
-    m = thetas.shape[0]
-    return curve.eval(thetas.reshape(-1)).reshape(m, 4, curve.dim)
-
-
-def _tangents_at(curve: Curve, thetas: np.ndarray) -> np.ndarray:
-    """(m, 4) angles -> (m, 4, k) curve tangents."""
-    m = thetas.shape[0]
-    return curve.deriv(thetas.reshape(-1)).reshape(m, 4, curve.dim)
+# residual and Jacobian: ``Curve.eval`` and ``Curve.deriv`` take (m, 4) angles
+# to the (m, 4, k) points and tangents that the kernels read
 
 
 def _pair_squares(pts: np.ndarray):
@@ -219,7 +211,8 @@ def _residual_kernel(pts: np.ndarray, diameter: float):
 
 def _jacobian_kernel(pts: np.ndarray, tan: np.ndarray) -> np.ndarray:
     """Batch-last (4, 4, m) residual Jacobians at (m, 4, k) points with tangents
-    ``tan``: row r is (dN_r - g_r dD_r) / D_r, from the pair differences."""
+    ``tan``: row r is (dN_r - g_r dD_r) / D_r, from the pair differences.
+    Jacobians alone: a Newton iteration already holds the residual."""
     diff, sq = _pair_squares(pts)
     nd = _NUM_DEN @ sq
     tangents = np.ascontiguousarray(tan.T)[:, _PAIR_IJ]
@@ -233,7 +226,7 @@ def _jacobian_kernel(pts: np.ndarray, tan: np.ndarray) -> np.ndarray:
 def _checked(curve: Curve, thetas):
     """(1, 4) angles, points and residual of one tuple; raises on coincident points."""
     th = np.asarray(thetas, dtype=float).reshape(1, 4)
-    pts = _points_at(curve, th)
+    pts = curve.eval(th)
     res, _, min_sep = _residual_kernel(pts, curve.diameter)
     if min_sep[0] <= MACHINE_SEP * curve.diameter:
         raise DegenerateConfiguration(
@@ -250,7 +243,7 @@ def residual(curve: Curve, thetas) -> np.ndarray:
 def jacobian(curve: Curve, thetas) -> np.ndarray:
     """Analytic 4x4 derivative of ``residual`` in the four angles."""
     th, pts, _ = _checked(curve, thetas)
-    return _jacobian_kernel(pts, _tangents_at(curve, th))[..., 0]
+    return _jacobian_kernel(pts, curve.deriv(th))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +453,7 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     """
     with np.errstate(invalid="ignore"):
         thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
-    pts = _points_at(curve, thetas)
+    pts = curve.eval(thetas)
     res, norms, _ = _residual_kernel(pts, curve.diameter)
     # seeds still iterating: finite and not converged (norms is never nan)
     live = np.isfinite(norms) & (norms >= opts.tol_residual)
@@ -470,11 +463,11 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        jac = _jacobian_kernel(pts[idx], _tangents_at(curve, thetas[idx]))
+        jac = _jacobian_kernel(pts[idx], curve.deriv(thetas[idx]))
         step, regular = _newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
         trial = np.mod(thetas[idx] + step, TWO_PI)
-        trial_pts = _points_at(curve, trial)
+        trial_pts = curve.eval(trial)
         trial_res, trial_norm, _ = _residual_kernel(trial_pts, curve.diameter)
         hit = trial_norm < norms[idx]
         miss = np.flatnonzero(~hit)
@@ -485,7 +478,7 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
         if miss.size:
             rows = idx[miss]
             halved = np.mod(thetas[rows] + _HALVINGS * step[miss], TWO_PI).reshape(-1, 4)
-            halved_pts = _points_at(curve, halved)
+            halved_pts = curve.eval(halved)
             halved_res, halved_norm, _ = _residual_kernel(halved_pts, curve.diameter)
             better = halved_norm.reshape(len(_HALVINGS), -1) < norms[rows]
             found = better.any(axis=0)
@@ -543,9 +536,9 @@ def _certify(jac: np.ndarray, opts: SolverOptions):
 def _make_solutions(curve: Curve, thetas: np.ndarray, opts: SolverOptions) -> list:
     """Certified ``Solution``s of (m, 4) roots, in canonical form, in one batch."""
     th = _canonical_batch(thetas)
-    pts = _points_at(curve, th)
+    pts = curve.eval(th)
     _, norms, min_sep = _residual_kernel(pts, curve.diameter)
-    det, transverse = _certify(_jacobian_kernel(pts, _tangents_at(curve, th)), opts)
+    det, transverse = _certify(_jacobian_kernel(pts, curve.deriv(th)), opts)
     return [
         Solution(
             theta=th[i],
@@ -681,9 +674,7 @@ def find_all(
     opts = opts or SolverOptions()
     seeds = _scan_seeds(curve, opts.grid)
     if extra_seeds is not None:
-        extra = np.asarray(extra_seeds, dtype=float).reshape(-1, 4)
-        if extra.size:
-            seeds = np.vstack([seeds, extra])
+        seeds = np.vstack([seeds, np.asarray(extra_seeds, dtype=float).reshape(-1, 4)])
     # a row repeated exactly after Newton's reduction mod 2pi has the same iterates;
     # lexsort is stable, so each run of equal rows starts with the first copy
     with np.errstate(invalid="ignore"):

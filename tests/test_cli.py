@@ -9,6 +9,7 @@ import pytest
 
 import squarepeg
 from squarepeg import curve_from_json_dict, residual
+from squarepeg import cli
 from squarepeg.cli import build_parser, main
 
 from conftest import three_lobe_curve
@@ -89,6 +90,23 @@ def test_find_svg_and_csv(curve_file, tmp_path):
     assert len(rows) == 1 + 4  # header + one class of four vertices
 
 
+def test_find_svg_skipped_for_space_curve(curve_file, tmp_path, capsys):
+    trefoil = {"dim": 3, "coords": [{"a0": 0, "cos": [0, 0, 0], "sin": [1, 2, 0]},
+                                    {"a0": 0, "cos": [1, -2, 0], "sin": [0, 0, 0]},
+                                    {"a0": 0, "cos": [0, 0, 0], "sin": [0, 0, -1]}]}  # fmt: skip
+    svg_path = tmp_path / "plot.svg"
+    code = main(["find", "--curve", curve_file(trefoil), "--svg", str(svg_path)])
+    assert code == 0
+    assert "svg skipped" in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
+def test_grid_above_the_bound_exits_1_before_any_scan(curve_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_all", lambda *args: pytest.fail("the scan ran"))
+    assert main(["find", "--curve", curve_file(ELLIPSE), "--grid", "200"]) == 1
+    assert "grid must be in [4, 96]" in capsys.readouterr().err
+
+
 def test_find_malformed_curve_names_field(curve_file, tmp_path, capsys):
     bad = curve_file({"dim": 2}, name="bad.json")
     code = main(["find", "--curve", bad, "--json", str(tmp_path / "r.json")])
@@ -115,6 +133,9 @@ def _coords(first):
         ({"type": "ellipse", "a": [2], "b": 1}, "'a'"),
         # a JSON integer too large for a float raised OverflowError
         ({"type": "ellipse", "a": 10**400, "b": 1}, "'a'"),
+        ([2, 1], "curve JSON must be an object"),
+        ({**_coords({"a0": 0, "cos": [2], "sin": [0]}), "dim": 3}, "'coords'"),
+        (_coords([0, [2], [0]]), "coords[0] must be an object"),
     ],
 )
 def test_find_mistyped_curve_field_exits_1(curve_file, tmp_path, capsys, payload, fieldname):
@@ -205,6 +226,18 @@ def test_track_command(curve_file, tmp_path):
     assert set(payload["parity_per_step"]) == {"odd"}
     assert len(payload["events"]) == 1
     assert payload["events"][0]["kind"] == "Birth"
+
+
+def test_track_dimension_mismatch_exits_1(curve_file, capsys):
+    # a SquarePegError other than the degenerate ones is bad input
+    space = {"dim": 3, "coords": [{"a0": 0, "cos": [2], "sin": [0]},
+                                  {"a0": 0, "cos": [0], "sin": [1]},
+                                  {"a0": 0, "cos": [0], "sin": [0.3]}]}  # fmt: skip
+    code = main(
+        ["track", "--curve", curve_file(ELLIPSE), "--target", curve_file(space, name="s.json")]
+    )
+    assert code == 1
+    assert "error: curve dims differ" in capsys.readouterr().err
 
 
 def test_track_nontransverse_path_exit(curve_file, capsys):

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from squarepeg import (
     Curve,
+    SolveReport,
     SolverOptions,
     class_distance,
     find_all,
@@ -12,7 +15,12 @@ from squarepeg import (
     perturb,
     track,
 )
-from squarepeg.continuation import _min_cost_assignment
+from squarepeg.continuation import (
+    _bisect_event,
+    _event_kind,
+    _match_classes,
+    _min_cost_assignment,
+)
 from squarepeg.errors import DimensionMismatch, NonTransversePath, RegularityLost
 
 
@@ -127,6 +135,44 @@ def test_track_regularity_lost(ellipse21):
     with pytest.raises(RegularityLost) as err:
         track(ellipse21, mirrored, steps=8)
     assert err.value.t == pytest.approx(0.5, abs=1e-9)
+
+
+def test_track_embedding_lost_at_target(ellipse21):
+    # the target is regular but crosses itself: the embedding check stops the path
+    with pytest.raises(RegularityLost, match="embedding lost") as err:
+        track(ellipse21, perturb(ellipse21, 0.12, 8, seed=3), steps=2)
+    assert err.value.t == 1.0
+
+
+def _report(*thetas) -> SolveReport:
+    """A report whose classes carry only their angles, all the matching reads."""
+    classes = [SimpleNamespace(theta=np.array(t, dtype=float)) for t in thetas]
+    return SolveReport(classes=classes, parity="odd", all_transverse=True)
+
+
+SQUARE = (0.1, 1.7, 3.2, 4.8)
+
+
+def test_match_classes_with_one_side_empty():
+    born, died = _match_classes(_report(), _report(SQUARE))
+    assert died == [] and np.array_equal(born, [SQUARE])
+    born, died = _match_classes(_report(SQUARE), _report())
+    assert born == [] and np.array_equal(died, [SQUARE])
+
+
+def test_event_kind():
+    a, b = np.array(SQUARE), np.array(SQUARE) + 0.2
+    assert _event_kind([a, b], []) == "Birth"
+    assert _event_kind([], [a, b]) == "Death"
+    for born, died in (([a], []), ([a], [b]), ([a, b], [a])):
+        assert _event_kind(born, died) == "Fold"
+
+
+def test_bisect_event_keeps_an_interval_without_a_count_change():
+    # equal counts: nothing to bisect, so no curve is built or solved
+    moved = tuple(t + 0.3 for t in SQUARE)
+    interval = _bisect_event(None, None, 0.25, 0.5, _report(SQUARE), _report(moved), None)
+    assert interval == (0.25, 0.5)
 
 
 def test_track_nontransverse_endpoint(unit_circle, ellipse21):

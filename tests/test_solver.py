@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_newton_step_all_regular_batch_matches_masked_route(ellipse21, monkeypat
     # an all-regular batch takes one solve on the whole stack: same bits
     rng = np.random.default_rng(33)
     seeds = seed_grid(12)[rng.permutation(495)[:200]]
-    pts, tan = solver._points_at(ellipse21, seeds), solver._tangents_at(ellipse21, seeds)
+    pts, tan = ellipse21.eval(seeds), ellipse21.deriv(seeds)
     res, _, _ = solver._residual_kernel(pts, ellipse21.diameter)
     jac = solver._jacobian_kernel(pts, tan)
     _, keep = newton_step_masked(jac, res.T)
@@ -338,6 +339,14 @@ def test_solver_options_reject_non_integral_counts(field, bad):
         SolverOptions(**{field: bad})
     opts = SolverOptions(**{field: np.int64(12)})
     assert opts == SolverOptions(**{field: 12}) and type(getattr(opts, field)) is int
+
+
+def test_solver_options_bound_the_grid():
+    # the scan's memory grows as C(grid, 4); only the options are built here
+    assert SolverOptions(grid=solver.MAX_GRID).grid == 96
+    for grid in (97, 200):
+        with pytest.raises(ValueError, match=r"grid must be in \[4, 96\]"):
+            SolverOptions(grid=grid)
 
 
 def test_newton_refine_converges_to_ellipse_square(ellipse21):
@@ -514,6 +523,14 @@ def test_quotient_dedup_near_duplicates_and_empty(ellipse21):
             quotient_dedup([sol], radius=radius)
 
 
+def test_quotient_dedup_canonicalises_theta(ellipse21):
+    sol = newton_refine(ellipse21, ellipse_square_angles(2, 1))
+    rolled = replace(sol, theta=np.roll(sol.theta, 1))
+    (rep,) = quotient_dedup([rolled])
+    assert np.array_equal(rep.theta, canonical_theta(rolled.theta))
+    assert rep.config is sol.config and rep.jac_det == sol.jac_det
+
+
 def test_quotient_dedup_wraparound(ellipse21):
     sol = newton_refine(ellipse21, ellipse_square_angles(2, 1))
 
@@ -585,6 +602,13 @@ def test_find_all_deterministic(three_lobe):
         assert np.array_equal(a.theta, b.theta)
         assert a.jac_det == b.jac_det
     assert r1.degeneracy_flags == r2.degeneracy_flags
+
+
+def test_find_all_flags_near_boundary_roots(ellipse21):
+    # the guard rejects the ellipse's one square, whose separation is 0.45 of the diameter
+    report = find_all(ellipse21, SolverOptions(sep_guard=0.9))
+    assert report.degeneracy_flags == ["NearBoundary"]
+    assert report.classes == []
 
 
 def test_find_all_extra_seeds(ellipse21):

@@ -300,7 +300,7 @@ def newton_batch_reference(curve, seeds, opts):
     """``_newton_batch`` with the damping fractions 2^-k tried one at a time."""
     thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
     m = thetas.shape[0]
-    pts = solver._points_at(curve, thetas)
+    pts = curve.eval(thetas)
     res, norms, min_sep, _ = kernel_reference(pts, curve.diameter)
     converged = norms < opts.tol_residual
     active = np.isfinite(norms)
@@ -309,7 +309,7 @@ def newton_batch_reference(curve, seeds, opts):
         idx = np.flatnonzero(active & ~converged)
         if not idx.size:
             break
-        tan = solver._tangents_at(curve, thetas[idx])
+        tan = curve.deriv(thetas[idx])
         _, _, _, jac = kernel_reference(pts[idx], curve.diameter, tan)
         step, regular = solver._newton_step(jac, res[idx].T)
         used_singular[idx[~regular]] = True
@@ -319,7 +319,7 @@ def newton_batch_reference(curve, seeds, opts):
                 break
             rows = idx[live]
             trial = np.mod(thetas[rows] + 0.5**k * step[live], TWO_PI)
-            trial_pts = solver._points_at(curve, trial)
+            trial_pts = curve.eval(trial)
             trial_res, trial_norm, trial_sep, _ = kernel_reference(trial_pts, curve.diameter)
             better = trial_norm < norms[rows]
             hit = rows[better]
