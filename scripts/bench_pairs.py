@@ -9,7 +9,14 @@ benchmark times the sources under the directory it runs from), the parent
 first in even pairs and the change first in odd ones.  For each end-to-end
 metric of the runs' last JSON line it prints every run, each side's median
 and quartiles, the change's median relative to the parent's, and in how
-many pairs the change is lower.  The header gives the Python version and
+many pairs the change is lower.  Two verdicts follow, with the metric's
+``better`` direction and ``bound`` read from this checkout's
+``BENCHMARK.json``: whether a gain may be claimed (the change is better in
+at least 9/10 of the pairs and the medians differ by more than the
+parent's IQR), and whether the change's median stays within the bound on
+a worsening, exceeds it, or is unresolved (a side's IQR over its median is
+wider than the bound, and not every run of the change is better than
+every run of the parent).  The header gives the Python version and
 ``PYTHONDONTWRITEBYTECODE``: without a bytecode cache every run compiles
 the package, which the cold paths and ``setup_s`` pay.  A run with a
 failed operation stops the script.  Standard library only.
@@ -22,6 +29,9 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(root: str, workload: str, args) -> dict:
@@ -40,6 +50,35 @@ def quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def verdicts(parent: list, change: list, better: str, bound: float) -> tuple:
+    """(gain verdict, bound verdict) of one metric's paired runs, as text.
+
+    Values are signed so that lower is better; ties count for neither side.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = [sign * v for v in parent], [sign * v for v in change]
+    wins = sum(c < p for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    gap = p_med - c_med
+    gain = wins >= 0.9 * len(parent) and gap > p_q3 - p_q1
+    gain_text = (
+        f"gain {'holds' if gain else 'does not hold'}: better in {wins} of {len(parent)} "
+        f"pairs (needs 9/10), median gap {gap:.4g} vs parent IQR {p_q3 - p_q1:.4g}"
+    )
+    worse = -gap / abs(p_med) if p_med else 0.0
+    spread = max((q3 - q1) / abs(med) if med else 0.0
+                 for q1, med, q3 in ((p_q1, p_med, p_q3), (c_q1, c_med, c_q3)))  # fmt: skip
+    if worse > bound:
+        state = "exceeded"
+    elif spread > bound and not max(change) < min(parent):
+        state = f"unresolved, an IQR is {100 * spread:.1f}% of its median"
+    else:
+        state = "within"
+    side = "worse" if worse > 0 else "better"
+    return gain_text, f"bound {100 * bound:g}%: {state}; median {100 * abs(worse):.1f}% {side}"
 
 
 def main(argv=None) -> int:
@@ -68,6 +107,7 @@ def pairs(workload: str, args) -> None:
             runs[side].append(run(getattr(args, side), workload, args))
             print(f"{workload} pair {i + 1}/{args.pairs} {side}: {runs[side][-1]}", file=sys.stderr)
 
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     for name in runs["parent"][0]:
         parent = [r[name] for r in runs["parent"]]
@@ -80,7 +120,11 @@ def pairs(workload: str, args) -> None:
                   " ".join(f"{v:.4g}" for v in values))  # fmt: skip
         p_med, c_med = statistics.median(parent), statistics.median(change)
         rel = f"{100 * (c_med / p_med - 1):+.1f}%" if p_med else "n/a"
-        print(f"  change vs parent {rel}; lower in {lower} of {args.pairs} pairs", flush=True)
+        print(f"  change vs parent {rel}; lower in {lower} of {args.pairs} pairs")
+        if name in metrics:
+            for line in verdicts(parent, change, metrics[name]["better"], metrics[name]["bound"]):
+                print(f"  {line}")
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Subcommands: ``find`` (solve one curve), ``verify-ellipse`` (closed-form
 checks), ``equivalence`` (residual-map harness), ``track`` (continuation
 between two curves), ``strata-report`` (collision-proximity diagnostics).
 
-Exit codes: 0 success, 1 bad input, 2 degeneracy (non-transverse results,
-suspected continua, failed equivalence, broken paths).
+Exit codes: 0 success, 1 bad input, 2 degeneracy (withheld parity, failed
+equivalence, broken paths).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _cmd_find(args) -> int:
             write_svg(args.svg, curve, report)
         else:
             print("svg skipped: curve is not planar", file=sys.stderr)
-    return _exit_for_flags(report.degeneracy_flags)
+    return EXIT_DEGENERATE if report.parity == "withheld" else EXIT_OK
 
 
 def _cmd_verify_ellipse(args) -> int:
@@ -242,7 +242,7 @@ def _cmd_strata(args) -> int:
         "flags": list(report.degeneracy_flags),
     }
     _emit_json(args, payload)
-    return _exit_for_flags(report.degeneracy_flags)
+    return EXIT_DEGENERATE if report.parity == "withheld" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +276,6 @@ def _emit_json(args, payload: dict) -> None:
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
-
-
-def _exit_for_flags(flags) -> int:
-    if "NonTransverse" in flags or "ContinuumSuspected" in flags:
-        return EXIT_DEGENERATE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -669,7 +669,7 @@ def find_all(
     the ``opts.grid``-sample lattice and the short-arc windows.
     ``extra_seeds`` augments them (continuation feeds the previous step's
     solutions through here).  The report never raises on degeneracy; it
-    carries flags instead.
+    carries flags instead, and any flag withholds the parity.
     """
     opts = opts or SolverOptions()
     seeds = _scan_seeds(curve, opts.grid)
@@ -698,9 +698,8 @@ def find_all(
         flags.append("NonTransverse")
     if _continuum_suspected(classes, opts):
         flags.append("ContinuumSuspected")
-    parity = (
-        ("odd" if len(classes) % 2 == 1 else "even") if all_transverse else "withheld"
-    )
+    # a dropped root or a non-transverse class leaves the count unproven
+    parity = "withheld" if flags else ("odd" if len(classes) % 2 == 1 else "even")
     return SolveReport(
         classes=classes,
         parity=parity,

@@ -65,6 +65,18 @@ def test_find_circle_degenerate_exit(curve_file, tmp_path):
     assert "NonTransverse" in report["flags"]
 
 
+def test_find_near_boundary_withholds_parity_and_exits_2(curve_file, tmp_path):
+    # the guard drops the ellipse's one square, so its count is unproven
+    report_path = tmp_path / "guarded.json"
+    args = ["--curve", curve_file(ELLIPSE), "--sep-guard", "0.9", "--json", str(report_path)]
+    assert main(["find"] + args) == 2
+    report = json.loads(report_path.read_text())
+    assert report["parity"] == "withheld"
+    assert report["flags"] == ["NearBoundary"]
+    assert report["classes"] == []
+    assert main(["strata-report"] + args) == 2
+
+
 def test_find_svg_and_csv(curve_file, tmp_path):
     svg_path = tmp_path / "plot.svg"
     csv_path = tmp_path / "verts.csv"

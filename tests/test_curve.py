@@ -11,7 +11,16 @@ from squarepeg import (
     perturb,
     regularity_and_embedding_check,
 )
-from squarepeg.curve import CHECK_SAMPLES, _close_pairs, _point_set_diameter
+from squarepeg.curve import (
+    CHECK_SAMPLES,
+    _ACCUMULATE_MAX_ANGLES,
+    _accumulated,
+    _close_pairs,
+    _harmonic_table,
+    _point_set_diameter,
+    _recurrence,
+    _sample_table,
+)
 from squarepeg.errors import RegularityLost
 
 from conftest import random_smooth_curve
@@ -46,6 +55,31 @@ def test_deriv_at_square_vertex_matches_tangent_pattern(ellipse21):
     cross = v[0] * expected[1] - v[1] * expected[0]
     assert abs(cross) < 1e-12
     assert np.allclose(v, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("harmonics", range(1, 11))
+def test_harmonic_table_builds_agree_bit_for_bit(harmonics):
+    rng = np.random.default_rng(harmonics)
+    for n in (0, 1, _ACCUMULATE_MAX_ANGLES, 2 * _ACCUMULATE_MAX_ANGLES):
+        theta = rng.uniform(-10.0, 10.0, size=n)
+        expected = [t.tobytes() for t in _recurrence(theta, harmonics)]
+        # the table as eval and deriv get it, whichever build its size takes
+        assert [t.T.tobytes() for t in _harmonic_table(theta, harmonics)] == expected, n
+        if harmonics > 2:  # H <= 2 always takes the recurrence
+            assert [t.tobytes() for t in _accumulated(theta, harmonics)] == expected, n
+
+
+def test_sample_tables_are_read_only_and_match_eval_and_deriv():
+    curve = random_smooth_curve(np.random.default_rng(11), dim=3, harmonics=6)
+    for n in (CHECK_SAMPLES, CHECK_SAMPLES // 8, 1024):
+        c, s = _sample_table(n, curve.harmonics)
+        assert c.shape == s.shape == (n, curve.harmonics)
+        for table in (c, s):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+        theta = TWO_PI * np.arange(n) / n
+        assert curve._points(c, s).tobytes() == curve.eval(theta).tobytes()
+        assert curve._tangents(c, s).tobytes() == curve.deriv(theta).tobytes()
 
 
 def test_deriv_matches_central_differences():

@@ -609,6 +609,7 @@ def test_find_all_flags_near_boundary_roots(ellipse21):
     report = find_all(ellipse21, SolverOptions(sep_guard=0.9))
     assert report.degeneracy_flags == ["NearBoundary"]
     assert report.classes == []
+    assert report.parity == "withheld"
 
 
 def test_find_all_extra_seeds(ellipse21):
@@ -748,6 +749,19 @@ def test_class_count_invariant_under_reparametrisation_and_scaling(name, expecte
         variants[f"rigid motion {j}"] = Curve(
             rotation @ curve.a0 + shift, rotation @ curve.cos_coeffs, rotation @ curve.sin_coeffs
         )
+    # isometric embeddings into R^4: zero coordinates, then a rotation of R^4,
+    # then a translation
+    a0, cos_c, sin_c = (
+        np.concatenate([c, np.zeros((4 - curve.dim,) + c.shape[1:])])
+        for c in (curve.a0, curve.cos_coeffs, curve.sin_coeffs)
+    )
+    rotation = random_rotation(4, rng)
+    shift = rng.uniform(-5.0, 5.0, size=4)
+    variants["R^4 padded"] = Curve(a0, cos_c, sin_c)
+    variants["R^4 rotated"] = Curve(rotation @ a0, rotation @ cos_c, rotation @ sin_c)
+    variants["R^4 rotated and shifted"] = Curve(
+        rotation @ a0 + shift, rotation @ cos_c, rotation @ sin_c
+    )
     for label, variant in variants.items():
         report = find_all(variant)
         assert (len(report.classes), report.parity) == expected, label
