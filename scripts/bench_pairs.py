@@ -1,6 +1,7 @@
 """Alternating before/after pairs of the benchmark: every run, medians, IQRs, pair wins.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload find-suite,track,cli-cold --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload track --out bench.json
 
 PARENT and CHANGE are checkout roots, say a ``git archive`` of the parent
 commit and of the change.  The workloads run one after another.  Pair i of
@@ -18,8 +19,12 @@ a worsening, exceeds it, or is unresolved (a side's IQR over its median is
 wider than the bound, and not every run of the change is better than
 every run of the parent).  The header gives the Python version and
 ``PYTHONDONTWRITEBYTECODE``: without a bytecode cache every run compiles
-the package, which the cold paths and ``setup_s`` pay.  A run with a
-failed operation stops the script.  Standard library only.
+the package, which the cold paths and ``setup_s`` pay.  ``--out PATH``
+also writes all of it to one JSON file: the header (Python version,
+bytecode setting, seed, seconds, pairs) and, for each workload and metric,
+every run of both sides, the quartiles, the pairs lower and, for an
+end-to-end metric, both verdicts.  A run with a failed operation stops the
+script.  Standard library only.
 """
 
 import argparse
@@ -81,6 +86,22 @@ def verdicts(parent: list, change: list, better: str, bound: float) -> tuple:
     return gain_text, f"bound {100 * bound:g}%: {state}; median {100 * abs(worse):.1f}% {side}"
 
 
+def summary(parent: list, change: list, metric: dict | None) -> dict:
+    """One metric's paired runs: every run, each side's (q1, median, q3), the
+    pairs in which the change is lower and, given the metric's
+    ``BENCHMARK.json`` entry, the gain and bound verdicts."""
+    entry = {
+        "parent": parent,
+        "change": change,
+        "parent_quartiles": list(quartiles(parent)),
+        "change_quartiles": list(quartiles(change)),
+        "pairs_lower": sum(c < p for p, c in zip(parent, change)),
+    }
+    if metric:
+        entry["gain"], entry["bound"] = verdicts(parent, change, metric["better"], metric["bound"])
+    return entry
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("parent", help="root of the parent checkout")
@@ -89,17 +110,22 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--out", help="also write every run and verdict to this JSON file")
     args = parser.parse_args(argv)
 
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE") or "unset"
     print(f"python {platform.python_version()}, PYTHONDONTWRITEBYTECODE {bytecode}", flush=True)
-    for workload in args.workload.split(","):
-        pairs(workload, args)
+    workloads = {workload: pairs(workload, args) for workload in args.workload.split(",")}
+    if args.out:
+        header = {"python": platform.python_version(), "PYTHONDONTWRITEBYTECODE": bytecode,
+                  "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs}  # fmt: skip
+        text = json.dumps({"header": header, "workloads": workloads}, indent=1)
+        Path(args.out).write_text(text + "\n")
     return 0
 
 
-def pairs(workload: str, args) -> None:
-    """Run and summarize the alternating pairs of one workload."""
+def pairs(workload: str, args) -> dict:
+    """Run and summarize the alternating pairs of one workload; each metric's ``summary``."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -109,22 +135,24 @@ def pairs(workload: str, args) -> None:
 
     metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    summaries = {}
     for name in runs["parent"][0]:
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        lower = sum(c < p for p, c in zip(parent, change))
+        s = summaries[name] = summary(
+            [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], metrics.get(name)
+        )
         print(name)
-        for side, values in (("parent", parent), ("change", change)):
-            q1, med, q3 = quartiles(values)
+        for side in ("parent", "change"):
+            q1, med, q3 = s[f"{side}_quartiles"]
             print(f"  {side} median {med:.4g} [{q1:.4g}, {q3:.4g}] IQR {q3 - q1:.4g}:",
-                  " ".join(f"{v:.4g}" for v in values))  # fmt: skip
-        p_med, c_med = statistics.median(parent), statistics.median(change)
+                  " ".join(f"{v:.4g}" for v in s[side]))  # fmt: skip
+        p_med, c_med = s["parent_quartiles"][1], s["change_quartiles"][1]
         rel = f"{100 * (c_med / p_med - 1):+.1f}%" if p_med else "n/a"
-        print(f"  change vs parent {rel}; lower in {lower} of {args.pairs} pairs")
-        if name in metrics:
-            for line in verdicts(parent, change, metrics[name]["better"], metrics[name]["bound"]):
-                print(f"  {line}")
+        print(f"  change vs parent {rel}; lower in {s['pairs_lower']} of {args.pairs} pairs")
+        for key in ("gain", "bound"):
+            if key in s:
+                print(f"  {s[key]}")
         sys.stdout.flush()
+    return summaries
 
 
 if __name__ == "__main__":

@@ -103,13 +103,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (RegularityLost, NonTransversePath) as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except SquarePegError as exc:
+    except (ValueError, OSError, SquarePegError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -210,10 +207,8 @@ def _cmd_track(args) -> int:
     payload["curve_hash"] = curve_hash(c0)
     payload["target_hash"] = curve_hash(c1)
     _emit_json(args, payload)
-    parities = set(trace.parity_per_step)
-    if "withheld" in parities or len(parities) > 1:
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    # ``track`` raises on a withheld step, so each step's parity is stated
+    return EXIT_DEGENERATE if len(set(trace.parity_per_step)) > 1 else EXIT_OK
 
 
 def _cmd_strata(args) -> int:

@@ -20,13 +20,17 @@ TWO_PI = 2.0 * np.pi
 G_TARGET = np.array([1.0, 1.0, 1.0, 0.0])
 
 
-def _as_count(name: str, value) -> int:
+def _as_count(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int, numpy integers included; ``ValueError`` naming
-    ``name`` for a float or any other non-integral value."""
+    ``name`` for a float or any other non-integral value, or for one below
+    ``minimum``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return count
 
 
 def direction(p, q) -> np.ndarray:

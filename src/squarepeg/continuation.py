@@ -85,13 +85,16 @@ def track(
     reuse the previous step's classes as seeds plus a scan at lattice size
     ``FRESH_GRID``, with the same short-arc windows.  Raises
     ``RegularityLost`` if any intermediate curve fails the regularity or
-    embedding check, and ``NonTransversePath`` if a step withholds parity
-    even after one retry at a shifted parameter.
+    embedding check, and ``NonTransversePath``, naming the report's
+    degeneracy flags, if an endpoint withholds parity or an interior step
+    still does after one retry half way back to the previous step.
     """
-    if _as_count("steps", steps) < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _as_count("steps", steps, minimum=1)
     opts = opts or SolverOptions()
     interior = replace(opts, grid=FRESH_GRID)
+
+    def solve(t, seeds, step_opts=interior):
+        return find_all(_curve_at(c0, c1, t), step_opts, extra_seeds=seeds)
 
     ts = [i / steps for i in range(steps + 1)]
     actual_ts = []
@@ -99,20 +102,15 @@ def track(
     prev_thetas = None
     for i, t in enumerate(ts):
         endpoint = i == 0 or i == steps
-        step_opts = opts if endpoint else interior
         t_used = t
-        report = find_all(_curve_at(c0, c1, t_used), step_opts, extra_seeds=prev_thetas)
-        if report.parity == "withheld":
-            if endpoint:
-                raise NonTransversePath(
-                    f"endpoint at t={t:.6g} is non-transverse", t=t
-                )
+        report = solve(t, prev_thetas, opts if endpoint else interior)
+        if report.parity == "withheld" and not endpoint:
             t_used = 0.5 * (ts[i - 1] + t)
-            report = find_all(_curve_at(c0, c1, t_used), step_opts, extra_seeds=prev_thetas)
-            if report.parity == "withheld":
-                raise NonTransversePath(
-                    f"step at t={t:.6g} stayed non-transverse after refinement", t=t
-                )
+            report = solve(t_used, prev_thetas)
+        if report.parity == "withheld":
+            where = "endpoint at" if endpoint else f"step retried at t={t_used:.6g} from"
+            flags = ", ".join(report.degeneracy_flags)
+            raise NonTransversePath(f"{where} t={t:.6g} withholds parity: {flags}", t=t)
         actual_ts.append(t_used)
         reports.append(report)
         prev_thetas = np.array([s.theta for s in report.classes]).reshape(-1, 4)
@@ -124,11 +122,9 @@ def track(
             continue
         kind = _event_kind(born, died)
         t_lo, t_hi = _bisect_event(
-            c0, c1, actual_ts[i - 1], actual_ts[i], reports[i - 1], reports[i], interior
+            solve, actual_ts[i - 1], actual_ts[i], reports[i - 1], reports[i]
         )
-        events.append(
-            TrackEvent(t_lo=t_lo, t_hi=t_hi, kind=kind, classes=born + died)
-        )
+        events.append(TrackEvent(t_lo=t_lo, t_hi=t_hi, kind=kind, classes=born + died))
 
     return ContinuationTrace(ts=actual_ts, reports=reports, events=events)
 
@@ -215,8 +211,11 @@ def _event_kind(born, died) -> str:
     return "Fold"
 
 
-def _bisect_event(c0, c1, t_lo, t_hi, rep_lo, rep_hi, interior_opts):
-    """Shrink the interval where the class count changes to width EVENT_T_TOL."""
+def _bisect_event(solve, t_lo, t_hi, rep_lo, rep_hi):
+    """Shrink the interval where the class count changes to width EVENT_T_TOL.
+
+    ``solve(t, seeds)`` is ``track``'s solve of an interior step.
+    """
     count_lo = len(rep_lo.classes)
     count_hi = len(rep_hi.classes)
     if count_lo == count_hi:
@@ -227,9 +226,7 @@ def _bisect_event(c0, c1, t_lo, t_hi, rep_lo, rep_hi, interior_opts):
     lo, hi = t_lo, t_hi
     while hi - lo > EVENT_T_TOL:
         mid = 0.5 * (lo + hi)
-        curve = _curve_at(c0, c1, mid)
-        rep_mid = find_all(curve, interior_opts, extra_seeds=seeds)
-        if len(rep_mid.classes) == count_lo:
+        if len(solve(mid, seeds).classes) == count_lo:
             lo = mid
         else:
             hi = mid

@@ -201,8 +201,7 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
     # the comparison is False for nan, so it also rejects it
     if not 0 <= amplitude < np.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
-    if _as_count("max_harmonic", max_harmonic) < 0:
-        raise ValueError("max_harmonic must be >= 0")
+    max_harmonic = _as_count("max_harmonic", max_harmonic, minimum=0)
     if amplitude == 0 or max_harmonic == 0:
         return Curve(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
     k = curve.dim
@@ -233,8 +232,7 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     ``_close_pairs`` returns every pair outside the band no farther apart
     than that bound; the minimum is the bound or the nearest of those pairs.
     """
-    if _as_count("samples", samples) < 16:
-        raise ValueError("samples must be >= 16")
+    samples = _as_count("samples", samples, minimum=16)
     c, s = _sample_table(samples, curve.harmonics)
     min_speed = float(np.linalg.norm(curve._tangents(c, s), axis=1).min())
     pts = curve._points(c, s)

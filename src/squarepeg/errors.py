@@ -25,15 +25,16 @@ class PlanarConfiguration(SquarePegError):
     """Operation requires a nonplanar quadrilateral."""
 
 
-class RegularityLost(SquarePegError):
-    """Curve failed the regularity (or embedding) check.
-
-    ``t`` is set when the failure occurred along a continuation path.
-    """
+class _PathError(SquarePegError):
+    """An error that carries ``t``, set when it occurred along a continuation path."""
 
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+
+
+class RegularityLost(_PathError):
+    """Curve failed the regularity (or embedding) check."""
 
 
 class DimensionMismatch(SquarePegError):
@@ -56,9 +57,5 @@ class SingularJacobianDuringIteration(Divergence):
     """Newton stalled even after falling back to pseudo-inverse steps."""
 
 
-class NonTransversePath(SquarePegError):
-    """A continuation step stayed non-transverse after refinement; carries ``t``."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+class NonTransversePath(_PathError):
+    """A continuation step withheld parity even after a retry; its text names the flags."""

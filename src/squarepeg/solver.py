@@ -257,8 +257,7 @@ def seed_grid(n_per_axis: int) -> np.ndarray:
     rotation when the minimum lies below pi/2, which pre-quotients the cyclic
     relabeling approximately while Newton remains free to leave the region.
     """
-    if _as_count("n_per_axis", n_per_axis) < 4:
-        raise ValueError("n_per_axis must be >= 4")
+    n_per_axis = _as_count("n_per_axis", n_per_axis, minimum=4)
     values = TWO_PI * np.arange(n_per_axis) / n_per_axis
     combos = _combinations(n_per_axis)
     # row t of the (4, 4) index table rotates a combination to start at slot t
@@ -415,14 +414,15 @@ def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
 
 
 def canonical_theta(thetas) -> np.ndarray:
-    """Reduce mod 2pi and rotate the tuple so the smallest angle comes first."""
+    """Reduce into [0, 2pi) and rotate the tuple so the smallest angle comes first."""
     return _canonical_batch(np.asarray(thetas, dtype=float).reshape(1, 4))[0]
 
 
 def _canonical_batch(thetas: np.ndarray) -> np.ndarray:
-    """Rows of an (m, 4) array reduced mod 2pi and rotated to start at their
-    smallest angle (the first of equal smallest ones)."""
+    """Rows of an (m, 4) array reduced into [0, 2pi) and rotated to start at
+    their smallest angle (the first of equal smallest ones)."""
     th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
+    th[th == TWO_PI] = 0.0  # np.mod rounds an angle in (-1e-16, 0) up to 2pi
     rows = np.arange(th.shape[0])
     start = np.argmin(th, axis=1)
     return np.stack([th[rows, (start + s) % 4] for s in range(4)], axis=1)
@@ -533,9 +533,8 @@ def _certify(jac: np.ndarray, opts: SolverOptions):
     return det, scaled & (np.abs(det) > opts.det_threshold * np.prod(rows, axis=0))
 
 
-def _make_solutions(curve: Curve, thetas: np.ndarray, opts: SolverOptions) -> list:
-    """Certified ``Solution``s of (m, 4) roots, in canonical form, in one batch."""
-    th = _canonical_batch(thetas)
+def _make_solutions(curve: Curve, th: np.ndarray, opts: SolverOptions) -> list:
+    """Certified ``Solution``s of (m, 4) canonical roots, in one batch."""
     pts = curve.eval(th)
     _, norms, min_sep = _residual_kernel(pts, curve.diameter)
     det, transverse = _certify(_jacobian_kernel(pts, curve.deriv(th)), opts)
@@ -561,7 +560,7 @@ def newton_refine(curve: Curve, theta0, opts: SolverOptions | None = None) -> So
     thetas, norms, status, singular = _newton_batch(curve, th0[None, :], opts)
     st = int(status[0])
     if st == _STATUS_CONVERGED:
-        return _make_solutions(curve, thetas[:1], opts)[0]
+        return _make_solutions(curve, _canonical_batch(thetas[:1]), opts)[0]
     if st == _STATUS_LEFT_ORDERED:
         raise LeftOrderedComponent(f"left the ordered component at angles {thetas[0]}")
     if st == _STATUS_NEAR_BOUNDARY:

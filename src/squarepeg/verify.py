@@ -222,8 +222,7 @@ def equivalence_harness(trials: int, seed: int) -> EquivalenceReport:
     by at least 1%.  Both maps must vanish on the first family and register
     the second.
     """
-    if _as_count("trials", trials) < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count("trials", trials, minimum=1)
     rng = np.random.default_rng(seed)
     max_g_sq = 0.0
     max_f_sq = 0.0

@@ -265,7 +265,18 @@ def test_track_nontransverse_path_exit(curve_file, capsys):
         ]
     )
     assert code == 2
-    assert "non-transverse" in capsys.readouterr().err
+    assert "NonTransverse" in capsys.readouterr().err
+
+
+def test_track_near_boundary_path_names_the_flag(curve_file, capsys):
+    # the guard drops each ellipse's one square: the error names NearBoundary
+    stretched = {"type": "ellipse", "a": 2, "b": 1.2}
+    args = ["--curve", curve_file(ELLIPSE, name="e.json")]
+    args += ["--target", curve_file(stretched, name="s.json"), "--steps", "2"]
+    assert main(["track"] + args + ["--sep-guard", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: endpoint at t=0 withholds parity: NearBoundary")
+    assert "non-transverse" not in err
 
 
 def test_strata_report(curve_file, tmp_path):

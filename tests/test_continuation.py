@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,9 @@ from squarepeg import (
     perturb,
     track,
 )
+from squarepeg import continuation
 from squarepeg.continuation import (
+    FRESH_GRID,
     _bisect_event,
     _event_kind,
     _match_classes,
@@ -121,9 +124,10 @@ def test_track_refinement_keeps_parity(ellipse21, three_lobe):
     assert coarse.class_counts[-1] == fine.class_counts[-1]
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2", 0])
 def test_track_rejects_non_integral_steps(ellipse21, bad):
-    with pytest.raises(ValueError, match="steps must be an integer"):
+    match = "steps must be >= 1" if isinstance(bad, int) else "steps must be an integer"
+    with pytest.raises(ValueError, match=match):
         track(ellipse21, ellipse21, steps=bad)
     assert track(ellipse21, ellipse21, steps=np.int64(1)).class_counts == [1, 1]
 
@@ -171,14 +175,43 @@ def test_event_kind():
 def test_bisect_event_keeps_an_interval_without_a_count_change():
     # equal counts: nothing to bisect, so no curve is built or solved
     moved = tuple(t + 0.3 for t in SQUARE)
-    interval = _bisect_event(None, None, 0.25, 0.5, _report(SQUARE), _report(moved), None)
+    interval = _bisect_event(None, 0.25, 0.5, _report(SQUARE), _report(moved))
     assert interval == (0.25, 0.5)
 
 
 def test_track_nontransverse_endpoint(unit_circle, ellipse21):
-    with pytest.raises(NonTransversePath) as err:
+    message = "endpoint at t=0 withholds parity: NonTransverse"
+    with pytest.raises(NonTransversePath, match=message) as err:
         track(unit_circle, ellipse21, steps=4)
     assert err.value.t == 0.0
+
+
+def test_track_names_the_flag_that_withholds_parity():
+    # the guard drops the ellipse's one square: the endpoint is near the
+    # boundary, not non-transverse, and the error says so
+    opts = SolverOptions(sep_guard=0.9)
+    with pytest.raises(NonTransversePath, match="withholds parity: NearBoundary$") as err:
+        track(make_ellipse(2, 1), make_ellipse(2, 1.2), steps=2, opts=opts)
+    assert err.value.t == 0.0
+
+
+def test_track_names_the_flags_of_a_step_withheld_after_its_retry(ellipse21, monkeypatch):
+    # every interior solve withholds parity: the step at 0.5 and its retry at 0.25
+    solved = []
+
+    def interior_withheld(curve, opts, extra_seeds=None):
+        report = find_all(curve, opts, extra_seeds=extra_seeds)
+        solved.append(opts.grid)
+        if opts.grid != FRESH_GRID:
+            return report
+        return replace(report, parity="withheld", degeneracy_flags=["NearBoundary"])
+
+    monkeypatch.setattr(continuation, "find_all", interior_withheld)
+    message = "step retried at t=0.25 from t=0.5 withholds parity: NearBoundary$"
+    with pytest.raises(NonTransversePath, match=message) as err:
+        track(ellipse21, ellipse21, steps=2)
+    assert err.value.t == 0.5
+    assert solved == [24, FRESH_GRID, FRESH_GRID]
 
 
 def test_track_retries_a_withheld_interior_step():

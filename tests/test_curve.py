@@ -184,6 +184,7 @@ def test_perturb_same_seed_bitwise_identical(ellipse21):
         (0.1, 2.5, "max_harmonic must be an integer"),
         (0.1, 2.0, "max_harmonic must be an integer"),
         (0.1, np.float64(2.0), "max_harmonic must be an integer"),
+        (0.1, -1, "max_harmonic must be >= 0"),
         (np.nan, 2, "amplitude must be finite"),
         (np.inf, 2, "amplitude must be finite"),
         (-np.inf, 2, "amplitude must be finite"),
@@ -362,7 +363,7 @@ def test_regularity_check_rejects_degenerate_curve():
 
 
 def test_regularity_check_sample_floor(ellipse21):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be >= 16"):
         regularity_and_embedding_check(ellipse21, samples=8)
 
 

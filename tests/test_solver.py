@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarepeg import (
     Config4,
@@ -321,7 +323,7 @@ def test_seed_grid_contract():
         assert len(seeds) <= n**4 / 4
         assert np.all(seeds[:, 0] < np.pi / 2)
         assert all(ordered_component_check(s) for s in seeds[:: max(1, len(seeds) // 50)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_per_axis must be >= 4"):
         seed_grid(3)
 
 
@@ -556,6 +558,27 @@ def test_canonical_theta_and_class_distance():
     assert canon[0] == pytest.approx(0.5)
     assert class_distance(th, np.roll(th, 2)) < 1e-15
     assert class_distance([0, 1, 2, 3], [0.5, 1, 2, 3]) == pytest.approx(0.5)
+
+
+def test_canonical_theta_maps_an_angle_just_below_zero_to_zero():
+    # np.mod(-1e-17, 2pi) rounds up to 2pi itself, which is the angle 0
+    assert np.array_equal(canonical_theta([-1e-17, 1, 2, 3]), [0.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.floats(min_value=-20.0, max_value=20.0)
+        | st.sampled_from([-1e-17, -0.0, TWO_PI, -TWO_PI, TWO_PI - 1e-16]),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_canonical_theta_is_idempotent_in_zero_to_two_pi(angles):
+    canon = canonical_theta(angles)
+    assert np.all((0.0 <= canon) & (canon < TWO_PI))
+    assert canon[0] == canon.min()
+    assert np.array_equal(canonical_theta(canon), canon)
 
 
 def test_find_all_ellipse(ellipse21):

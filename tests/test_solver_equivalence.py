@@ -48,8 +48,9 @@ TWO_PI = 2 * np.pi
 
 
 def canonical_reference(thetas):
-    """Reduce mod 2pi and rotate the tuple so the smallest angle comes first."""
-    th = np.mod(np.asarray(thetas, dtype=float).reshape(4), TWO_PI)
+    """Reduce into [0, 2pi) and rotate the tuple so the smallest angle comes first."""
+    th = np.array([a % TWO_PI for a in np.asarray(thetas, dtype=float).reshape(4)])
+    th[th == TWO_PI] = 0.0  # a % 2pi rounds an angle just below 0 up to 2pi
     return np.roll(th, -int(np.argmin(th)))
 
 
@@ -79,7 +80,8 @@ def test_canonical_rotation_matches_reference():
     rng = np.random.default_rng(50)
     spread = rng.uniform(-4 * np.pi, 6 * np.pi, size=(500, 4))
     ties = rng.choice(np.arange(-8, 17) * np.pi / 4, size=(500, 4))
-    thetas = np.concatenate([spread, ties, [[TWO_PI, 1.0, 2.0, 3.0], [-0.0, 1.0, 1.0, -0.0]]])
+    special = [[TWO_PI, 1.0, 2.0, 3.0], [-0.0, 1.0, 1.0, -0.0], [1.0, 2.0, -1e-17, 3.0]]
+    thetas = np.concatenate([spread, ties, special])
     expected = np.array([canonical_reference(th) for th in thetas])
     assert np.array_equal(_canonical_batch(thetas), expected)
     assert all(np.array_equal(canonical_theta(th), e) for th, e in zip(thetas, expected))

@@ -199,7 +199,7 @@ def test_equivalence_harness_one_percent_diagonal():
 
 
 def test_equivalence_harness_rejects_zero_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         equivalence_harness(0, seed=1)
 
 
