@@ -2,12 +2,12 @@
 
     python3 scripts/parity_census.py
 
-The recipes are ``tests/census.py``'s: random space curves and a planar
-control over seeds 1000-1399.  The theorem says that a generic embedded
-curve has an odd number of classes, so every curve reported here is a miss
-or a degeneracy.  It prints one line per curve whose parity is not odd or
-that raises a degeneracy flag, then one summary line per recipe.  The
-output is deterministic.
+The recipes are ``tests/census.py``'s: random space curves, a planar
+control and random curves in R^4, over seeds 1000-1399.  The theorem says
+that a generic embedded curve has an odd number of classes, so every curve
+reported here is a miss or a degeneracy.  It prints one line per curve
+whose parity is not odd or that raises a degeneracy flag, then one summary
+line per recipe.  The output is deterministic.
 """
 
 import sys
@@ -22,7 +22,12 @@ from squarepeg import find_all  # noqa: E402
 
 
 def main() -> None:
-    for name, recipe in (("space", census.space_curve), ("planar", census.planar_curve)):
+    recipes = (
+        ("space", census.space_curve),
+        ("planar", census.planar_curve),
+        ("space4", census.space4_curve),
+    )
+    for name, recipe in recipes:
         counts = Counter()
         for seed, curve in census.kept(recipe):
             report = find_all(curve)

@@ -83,7 +83,8 @@ def track(
 
     Endpoints are solved at the lattice size ``opts.grid``; interior steps
     reuse the previous step's classes as seeds plus a scan at lattice size
-    ``FRESH_GRID``, with the same short-arc windows.  Raises
+    ``FRESH_GRID``, with the same short-arc windows.  A class-count change
+    between two steps is bisected as soon as the later step is solved.  Raises
     ``RegularityLost`` if any intermediate curve fails the regularity or
     embedding check, and ``NonTransversePath``, naming the report's
     degeneracy flags, if an endpoint withholds parity or an interior step
@@ -96,35 +97,27 @@ def track(
     def solve(t, seeds, step_opts=interior):
         return find_all(_curve_at(c0, c1, t), step_opts, extra_seeds=seeds)
 
-    ts = [i / steps for i in range(steps + 1)]
-    actual_ts = []
-    reports = []
+    actual_ts, reports, events = [], [], []
     prev_thetas = None
-    for i, t in enumerate(ts):
+    for i in range(steps + 1):
+        t = t_used = i / steps
         endpoint = i == 0 or i == steps
-        t_used = t
         report = solve(t, prev_thetas, opts if endpoint else interior)
         if report.parity == "withheld" and not endpoint:
-            t_used = 0.5 * (ts[i - 1] + t)
+            t_used = 0.5 * ((i - 1) / steps + t)
             report = solve(t_used, prev_thetas)
         if report.parity == "withheld":
             where = "endpoint at" if endpoint else f"step retried at t={t_used:.6g} from"
             flags = ", ".join(report.degeneracy_flags)
             raise NonTransversePath(f"{where} t={t:.6g} withholds parity: {flags}", t=t)
+        if reports:
+            born, died = _match_classes(reports[-1], report)
+            if born or died:
+                t_lo, t_hi = _bisect_event(solve, actual_ts[-1], t_used, reports[-1], report)
+                events.append(TrackEvent(t_lo, t_hi, _event_kind(born, died), born + died))
         actual_ts.append(t_used)
         reports.append(report)
         prev_thetas = np.array([s.theta for s in report.classes]).reshape(-1, 4)
-
-    events = []
-    for i in range(1, len(reports)):
-        born, died = _match_classes(reports[i - 1], reports[i])
-        if not born and not died:
-            continue
-        kind = _event_kind(born, died)
-        t_lo, t_hi = _bisect_event(
-            solve, actual_ts[i - 1], actual_ts[i], reports[i - 1], reports[i]
-        )
-        events.append(TrackEvent(t_lo=t_lo, t_hi=t_hi, kind=kind, classes=born + died))
 
     return ContinuationTrace(ts=actual_ts, reports=reports, events=events)
 

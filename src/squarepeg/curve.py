@@ -111,15 +111,8 @@ class Curve:
         return c @ self._hsin.T - s @ self._hcos.T
 
     def to_json_dict(self) -> dict:
-        coords = []
-        for i in range(self.dim):
-            coords.append(
-                {
-                    "a0": float(self.a0[i]),
-                    "cos": [float(c) for c in self.cos_coeffs[i]],
-                    "sin": [float(s) for s in self.sin_coeffs[i]],
-                }
-            )
+        blocks = (self.a0.tolist(), self.cos_coeffs.tolist(), self.sin_coeffs.tolist())
+        coords = [{"a0": a0, "cos": cos, "sin": sin} for a0, cos, sin in zip(*blocks)]
         return {"dim": self.dim, "coords": coords}
 
 
@@ -268,10 +261,9 @@ def _close_pairs(pts: np.ndarray, radius: float, skip: int = 0):
         gap = row.take(second) - row.take(first)
         near = np.abs(gap, out=gap) <= reach
         first, second = first[near], second[near]
-    if skip:
-        sep = np.abs(order.take(second) - order.take(first))
-        far = np.minimum(sep, len(pts) - sep) > skip
-        first, second = first[far], second[far]
+    sep = np.abs(order.take(second) - order.take(first))
+    far = np.minimum(sep, len(pts) - sep) > skip
+    first, second = first[far], second[far]
     d2 = sum((row.take(second) - row.take(first)) ** 2 for row in coords)  # scipy's order
     keep = d2 <= radius * radius
     i, j = order.take(first[keep]), order.take(second[keep])
@@ -288,13 +280,9 @@ def curve_from_json_dict(data: dict) -> Curve:
     if not isinstance(data, dict):
         raise ValueError("curve JSON must be an object")
     if data.get("type") == "ellipse":
-        for fieldname in ("a", "b"):
-            if fieldname not in data:
-                raise ValueError(f"ellipse curve JSON missing field '{fieldname}'")
+        _require_fields(data, "ellipse curve JSON", "a", "b")
         return make_ellipse(_json_number(data["a"], "a"), _json_number(data["b"], "b"))
-    for fieldname in ("dim", "coords"):
-        if fieldname not in data:
-            raise ValueError(f"curve JSON missing field '{fieldname}'")
+    _require_fields(data, "curve JSON", "dim", "coords")
     dim = data["dim"]
     if type(dim) is not int:
         raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
@@ -307,9 +295,7 @@ def curve_from_json_dict(data: dict) -> Curve:
     for i, entry in enumerate(coords):
         if not isinstance(entry, dict):
             raise ValueError(f"coords[{i}] must be an object")
-        for fieldname in ("a0", "cos", "sin"):
-            if fieldname not in entry:
-                raise ValueError(f"coords[{i}] missing field '{fieldname}'")
+        _require_fields(entry, f"coords[{i}]", "a0", "cos", "sin")
         a0.append(_json_number(entry["a0"], f"coords[{i}].a0"))
         for fieldname, rows in (("cos", cos_rows), ("sin", sin_rows)):
             name = f"coords[{i}].{fieldname}"
@@ -322,6 +308,13 @@ def curve_from_json_dict(data: dict) -> Curve:
         return np.array([r + [0.0] * (h - len(r)) for r in rows])
 
     return Curve(np.array(a0), pad(cos_rows), pad(sin_rows))
+
+
+def _require_fields(data: dict, where: str, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` that ``data`` lacks."""
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{where} missing field '{name}'")
 
 
 def _json_number(value, name: str) -> float:

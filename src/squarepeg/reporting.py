@@ -34,8 +34,8 @@ def report_to_dict(
     for sol in report.classes:
         classes.append(
             {
-                "theta": [float(t) for t in sol.theta],
-                "points": [[float(x) for x in p] for p in sol.config.points],
+                "theta": sol.theta.tolist(),
+                "points": sol.config.points.tolist(),
                 "residual": float(sol.residual_norm),
                 "jac_det": float(sol.jac_det),
                 "transverse": bool(sol.transverse),
@@ -104,30 +104,23 @@ def write_svg(path: str, curve: Curve, report: SolveReport) -> None:
     pts = curve.eval(theta)
     quads = [sol.config.points for sol in report.classes]
     everything = np.vstack([pts] + quads) if quads else pts
-    x_lo, y_lo = everything.min(axis=0)
-    x_hi, y_hi = everything.max(axis=0)
-    margin = 0.05 * max(x_hi - x_lo, y_hi - y_lo)
-    x_lo -= margin
-    x_hi += margin
-    y_lo -= margin
-    y_hi += margin
+    lo, hi = everything.min(axis=0), everything.max(axis=0)
+    margin = 0.05 * (hi - lo).max()
+    (x_lo, y_lo), (x_hi, y_hi) = lo - margin, hi + margin
 
     def fmt(points) -> str:
         return " ".join(f"{p[0]:.6f},{-p[1]:.6f}" for p in points)
 
     curve_pts = np.vstack([pts, pts[:1]])  # repeat first point to close
+    width = f'stroke-width="{0.004 * (x_hi - x_lo):.6f}"'
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x_lo:.6f} {-y_hi:.6f} {x_hi - x_lo:.6f} {y_hi - y_lo:.6f}">',
-        f'<polyline points="{fmt(curve_pts)}" fill="none" stroke="#333333" '
-        f'stroke-width="{0.004 * (x_hi - x_lo):.6f}"/>',
+        f'<polyline points="{fmt(curve_pts)}" fill="none" stroke="#333333" {width}/>',
     ]
     for ci, quad in enumerate(quads):
         color = _PALETTE[ci % len(_PALETTE)]
-        lines.append(
-            f'<polygon points="{fmt(quad)}" fill="none" stroke="{color}" '
-            f'stroke-width="{0.004 * (x_hi - x_lo):.6f}"/>'
-        )
+        lines.append(f'<polygon points="{fmt(quad)}" fill="none" stroke="{color}" {width}/>')
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

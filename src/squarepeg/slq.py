@@ -115,6 +115,13 @@ def length_derivative(c: Config4, h: Variation4, i: int, j: int) -> float:
     return float(np.dot(diff, dv) / d)
 
 
+def _require_on_slq(c: Config4) -> None:
+    """Raise ``NotOnSlq`` unless ``g_map(c)`` is (1, 1, 1, 0) within ``ON_SLQ_TOL``."""
+    deviation = np.abs(g_map(c) - G_TARGET).max()
+    if not deviation <= ON_SLQ_TOL:  # False for nan, so a nan point is off the locus
+        raise NotOnSlq(f"g deviates from (1,1,1,0) by {deviation:.2e}")
+
+
 def g_directional_derivative(c: Config4, h: Variation4) -> np.ndarray:
     """Derivative of g_map along ``h`` at a point of the square-like locus.
 
@@ -122,11 +129,7 @@ def g_directional_derivative(c: Config4, h: Variation4) -> np.ndarray:
     and equal-diagonal relations already hold, so the configuration must
     satisfy ``g_map(c)`` = (1, 1, 1, 0) within ``ON_SLQ_TOL``.
     """
-    g = g_map(c)
-    if np.abs(g - G_TARGET).max() > ON_SLQ_TOL:
-        raise NotOnSlq(
-            f"g deviates from (1,1,1,0) by {np.abs(g - G_TARGET).max():.2e}"
-        )
+    _require_on_slq(c)
     dl = lambda i, j: length_derivative(c, h, i, j)
     d14 = c.dist(1, 4)
     d21 = c.dist(2, 1)

@@ -111,6 +111,12 @@ _CYCLIC_SHIFTS = (np.arange(4) - np.arange(4)[:, None]) % 4
 #: largest lattice size: the scan's memory grows as C(grid, 4), about 1.1 GB at 96
 MAX_GRID = 96
 
+#: smallest class radius.  Converged copies of one root can lie more than
+#: 1e-13 apart: the reference curves' classes split at a radius of 1e-13 and
+#: hold from 1e-12 up; the floor keeps a factor of 100 over that.  (Below
+#: about 2.7e-18 the int64 keys of ``_cluster_labels`` overflow and merge.)
+DEDUP_FLOOR = 1e-10
+
 #: steps of ``continuation.track`` by default, and of the CLI's ``track``
 TRACK_STEPS = 64
 
@@ -138,7 +144,11 @@ class SolverOptions:
             ("grid", 4 <= self.grid <= MAX_GRID, f"in [4, {MAX_GRID}]"),
             ("max_iters", self.max_iters >= 1, ">= 1"),
             ("tol_residual", 0 < self.tol_residual < np.inf, "finite and > 0"),
-            ("dedup_radius", 0 < self.dedup_radius < np.inf, "finite and > 0"),
+            (
+                "dedup_radius",
+                DEDUP_FLOOR <= self.dedup_radius < np.inf,
+                f"finite and >= {DEDUP_FLOOR:g}",
+            ),
             ("sep_guard", 0 <= self.sep_guard < 1, "in [0, 1)"),
             ("det_threshold", 0 <= self.det_threshold < np.inf, "finite and >= 0"),
         )
@@ -423,9 +433,8 @@ def _canonical_batch(thetas: np.ndarray) -> np.ndarray:
     their smallest angle (the first of equal smallest ones)."""
     th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
     th[th == TWO_PI] = 0.0  # np.mod rounds an angle in (-1e-16, 0) up to 2pi
-    rows = np.arange(th.shape[0])
-    start = np.argmin(th, axis=1)
-    return np.stack([th[rows, (start + s) % 4] for s in range(4)], axis=1)
+    start = np.argmin(th, axis=1)[:, None]
+    return np.take_along_axis(th, (start + np.arange(4)) % 4, axis=1)
 
 
 def class_distance(t1, t2) -> float:
@@ -630,16 +639,16 @@ def _representatives(canon: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def quotient_dedup(solutions: list, radius: float = 1e-6) -> list:
+def quotient_dedup(solutions: list, radius: float = SolverOptions.dedup_radius) -> list:
     """One canonical representative per cyclic class.
 
     Clusters are single-linkage in the cyclic-quotient sup metric on angles;
     the representative is the lexicographically smallest canonical tuple, and
-    the result is sorted lexicographically for determinism.
+    the result is sorted lexicographically for determinism.  ``radius`` is a
+    ``SolverOptions.dedup_radius``: its default, and its rule, which raises
+    ``ValueError`` naming ``dedup_radius``.
     """
-    # the comparisons are False for nan, as in ``SolverOptions``
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    SolverOptions(dedup_radius=radius)
     if not solutions:
         return []
     canon = _canonical_batch(np.array([s.theta for s in solutions]))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import G_TARGET, Config4, _as_count, cyclic_relabel
-from .errors import NotOnSlq, PlanarConfiguration
+from .errors import PlanarConfiguration
 from .slq import (
     Variation4,
+    _require_on_slq,
     f_map,
     g_directional_derivative,
     g_map,
@@ -277,8 +278,6 @@ def _perp_component(target: np.ndarray, span) -> np.ndarray:
 
 
 def _require_nonplanar_slq(c: Config4) -> None:
-    g = g_map(c)
-    if np.abs(g - G_TARGET).max() > 1e-8:
-        raise NotOnSlq("configuration is not square-like")
+    _require_on_slq(c)
     if measurements(c).planarity <= PLANARITY_FLOOR:
         raise PlanarConfiguration("configuration is planar; use the ellipse basis")

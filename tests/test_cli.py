@@ -412,6 +412,7 @@ def test_solver_flags_accepted(curve_file, tmp_path):
         ("--dedup-eps", "0", "dedup_radius"),
         ("--dedup-eps", "-1", "dedup_radius"),
         ("--dedup-eps", "inf", "dedup_radius"),
+        ("--dedup-eps", "1e-20", "dedup_radius"),
         ("--max-iters", "-1", "max_iters"),
         ("--max-iters", "0", "max_iters"),
         ("--tol", "nan", "tol_residual"),

@@ -97,6 +97,10 @@ def test_g_directional_derivative_requires_square_like():
     h = Variation4.single(1, [1.0, 0.0], dim=2)
     with pytest.raises(NotOnSlq):
         g_directional_derivative(RECTANGLE, h)
+    # nan fails every comparison, so a "deviation > tol" test would let it through
+    nan_square = Config4([[0, 0], [1, 0], [1, np.nan], [0, 1]])
+    with pytest.raises(NotOnSlq, match="by nan"):
+        g_directional_derivative(nan_square, h)
 
 
 def test_g_directional_derivative_matches_fd_on_random_square_likes():

@@ -147,6 +147,8 @@ def test_nonplanar_refuses_planar_and_non_square_like():
 
     with pytest.raises(NotOnSlq):
         nonplanar_dg_matrix(Config4([[0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0.3]]))
+    with pytest.raises(NotOnSlq):  # a nan point is off the locus
+        nonplanar_dg_matrix(Config4([[1, 0, 0], [0, 1, np.nan], [-1, 0, 0], [0, -1, 0.5]]))
 
 
 def test_nonplanar_basis_scaling_conditions():
