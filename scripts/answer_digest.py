@@ -21,6 +21,10 @@ in ``perfbench/data``.  ``cli-stdout``: the exit code, the stdout report
 (without ``timings``) and the stderr of such a child run with no output
 file, for each of those curve files.  ``cli-withheld``: the same for ``find
 --sep-guard 0.9`` on the ellipse, which withholds parity and exits 2.
+``cli-strata-report`` (each of those curve files), ``cli-verify-ellipse``
+(a = 2, b = 1), ``cli-equivalence`` (50 trials, seed 3) and ``cli-track``
+(ellipse to three-lobe, 8 steps): the exit code, the stdout and the
+``--json`` file of that command run as a child on this checkout's sources.
 ``api``: ``squarepeg.__all__``, ``dir(squarepeg)`` in a
 fresh child before any lazy name resolves, and the ``--help`` text of the
 CLI and of each subcommand at 100 columns.
@@ -89,13 +93,14 @@ def track_digest(c0, c1, steps) -> str:
     return h.hexdigest()
 
 
-def run_find(curve_file: Path, *args) -> subprocess.CompletedProcess:
-    """A ``squarepeg find`` child on this checkout's sources, exit 0 or 2."""
-    argv = [sys.executable, "-m", "squarepeg.cli", "find", "--curve", str(curve_file), *args]
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """A ``squarepeg`` child on this checkout's sources, exit 0 or 2."""
+    args = [str(arg) for arg in args]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "squarepeg.cli", *args]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode not in (0, 2):  # 2: a degenerate answer, still an answer
-        sys.exit(f"squarepeg find {curve_file} exited {proc.returncode}: {proc.stderr}")
+        sys.exit(f"squarepeg {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
     return proc
 
 
@@ -110,7 +115,7 @@ def cli_digest(curve_file: Path) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {ext: Path(tmp) / f"out.{ext}" for ext in ("json", "csv", "svg")}
         args = [arg for ext, path in outputs.items() for arg in (f"--{ext}", str(path))]
-        proc = run_find(curve_file, *args)
+        proc = run_cli("find", "--curve", curve_file, *args)
         h = hashlib.sha256(repr(proc.returncode).encode())
         h.update(report_bytes(outputs["json"].read_text()))
         h.update(outputs["csv"].read_bytes())
@@ -119,10 +124,21 @@ def cli_digest(curve_file: Path) -> str:
 
 
 def cli_stdout_digest(curve_file: Path, *args) -> str:
-    proc = run_find(curve_file, *args)
+    proc = run_cli("find", "--curve", curve_file, *args)
     h = hashlib.sha256(repr(proc.returncode).encode())
     h.update(report_bytes(proc.stdout))
     h.update(proc.stderr.encode())
+    return h.hexdigest()
+
+
+def command_digest(*args) -> str:
+    """The exit code, the stdout and the ``--json`` file of a ``squarepeg`` child."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        proc = run_cli(*args, "--json", out)
+        h = hashlib.sha256(repr(proc.returncode).encode())
+        h.update(proc.stdout.encode())
+        h.update(out.read_bytes() if out.exists() else b"")
     return h.hexdigest()
 
 
@@ -162,11 +178,20 @@ def main() -> None:
     paths["three-lobe->ellipse"] = (suite.three_lobe(), ellipse, 16)
     for label, (c0, c1, steps) in paths.items():
         print(f"track {label} {track_digest(c0, c1, steps)}", flush=True)
-    for curve_file in sorted((ROOT / "perfbench" / "data").glob("*.json")):
+    data = ROOT / "perfbench" / "data"
+    for curve_file in sorted(data.glob("*.json")):
         print(f"cli {curve_file.stem} {cli_digest(curve_file)}", flush=True)
         print(f"cli-stdout {curve_file.stem} {cli_stdout_digest(curve_file)}", flush=True)
-    guarded = cli_stdout_digest(ROOT / "perfbench" / "data" / "ellipse.json", "--sep-guard", "0.9")
+        strata = command_digest("strata-report", "--curve", curve_file)
+        print(f"cli-strata-report {curve_file.stem} {strata}", flush=True)
+    guarded = cli_stdout_digest(data / "ellipse.json", "--sep-guard", "0.9")
     print(f"cli-withheld ellipse {guarded}", flush=True)
+    ellipse_check = command_digest("verify-ellipse", "--a", "2", "--b", "1")
+    print(f"cli-verify-ellipse a=2,b=1 {ellipse_check}", flush=True)
+    harness = command_digest("equivalence", "--trials", "50", "--seed", "3")
+    print(f"cli-equivalence trials=50,seed=3 {harness}", flush=True)
+    path = ("--curve", data / "ellipse.json", "--target", data / "three-lobe.json", "--steps", 8)
+    print(f"cli-track ellipse->three-lobe {command_digest('track', *path)}", flush=True)
     print(f"api {api_digest()}", flush=True)
 
 

@@ -152,30 +152,25 @@ def _cmd_verify_ellipse(args) -> int:
     square = ellipse_square(args.a, args.b)
     mat = ellipse_dg_matrix(args.a, args.b)
     pushed = mu_pushforward_dg_matrix(args.a, args.b)
-    det = float(np.linalg.det(mat))
-    det_pushed = float(np.linalg.det(pushed))
-    formula = 8 * (args.a**4 - args.b**4) / (args.a**2 * args.b**2)
-    side = 2 * args.a * args.b / np.hypot(args.a, args.b)
-    print(f"ellipse a={args.a} b={args.b}")
-    print(f"  derivative matrix determinant: {det:.12g}")
-    print(f"  pushforward determinant:       {det_pushed:.12g}")
-    print(f"  closed-form 8(a^4-b^4)/(a^2 b^2): {formula:.12g}")
-    print(f"  square side length: {side:.12g}")
-    print("  vertices:")
-    for i in range(1, 5):
-        x, y = square.point(i)
-        print(f"    p{i} = ({x: .12g}, {y: .12g})")
     payload = {
         "a": args.a,
         "b": args.b,
-        "det": det,
-        "det_pushforward": det_pushed,
-        "det_formula": formula,
-        "side_length": float(side),
+        "det": float(np.linalg.det(mat)),
+        "det_pushforward": float(np.linalg.det(pushed)),
+        "det_formula": 8 * (args.a**4 - args.b**4) / (args.a**2 * args.b**2),
+        "side_length": float(2 * args.a * args.b / np.hypot(args.a, args.b)),
         "vertices": [[float(x) for x in square.point(i)] for i in range(1, 5)],
         "matrix": mat.tolist(),
         "pushforward_matrix": pushed.tolist(),
     }
+    print(f"ellipse a={args.a} b={args.b}")
+    print(f"  derivative matrix determinant: {payload['det']:.12g}")
+    print(f"  pushforward determinant:       {payload['det_pushforward']:.12g}")
+    print(f"  closed-form 8(a^4-b^4)/(a^2 b^2): {payload['det_formula']:.12g}")
+    print(f"  square side length: {payload['side_length']:.12g}")
+    print("  vertices:")
+    for i, (x, y) in enumerate(payload["vertices"], start=1):
+        print(f"    p{i} = ({x: .12g}, {y: .12g})")
     if args.json:
         write_json(args.json, payload)
     return EXIT_OK

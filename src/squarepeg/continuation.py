@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import TWO_PI, _as_count
+from .config import _as_count
 from .curve import Curve, _zero_padded, regularity_and_embedding_check
 from .errors import DimensionMismatch, NonTransversePath, RegularityLost
 from .solver import TRACK_STEPS, SolveReport, SolverOptions, _class_distances, find_all
@@ -129,7 +129,7 @@ def track(
 def _curve_at(c0: Curve, c1: Curve, t: float) -> Curve:
     try:
         curve = interpolate(c0, c1, t)
-    except RegularityLost as exc:
+    except (RegularityLost, ValueError) as exc:  # ValueError: float64 cannot resolve it
         raise RegularityLost(f"regularity lost at t={t:.6g}: {exc}", t=t) from exc
     check = regularity_and_embedding_check(curve, samples=STEP_CHECK_SAMPLES)
     if check["min_self_distance"] <= EMBED_GUARD * curve.diameter:
@@ -151,7 +151,7 @@ def _match_classes(prev: SolveReport, cur: SolveReport):
     b = [s.theta for s in cur.classes]
     if not a or not b:
         return list(b), list(a)
-    dist = _class_distances(np.mod(a, TWO_PI), np.mod(b, TWO_PI))
+    dist = _class_distances(np.array(a), np.array(b))
     rows, cols = _min_cost_assignment(dist)
     drifts = dist[rows, cols]
     kept = drifts <= max(10.0 * float(np.median(drifts)), 1e-9)

@@ -25,6 +25,15 @@ SPEED_FLOOR = 1e-6
 #: residual kernels square pair distances, which overflow from about 1e154
 MAX_SCALE = 1e150
 
+#: smallest diameter accepted: above it the squared separations at the
+#: separation guard, at least (1e-3 D)^2, stay normal floats
+_MIN_DIAMETER = 1e-150
+
+#: largest ``MAX_SCALE`` quantity accepted, over the diameter: farther from
+#: the origin, rounding of the coordinates swamps the curve's shape (the test
+#: curves read at most 0.99; moved away, trefoil loses classes from 3e3)
+_MAX_SCALE_PER_DIAMETER = 1e3
+
 # Tables of at most this many angles are built by one complex accumulate,
 # larger ones by the angle-addition recurrence.  Per table, with the copies
 # to contiguous rows, on a 2-core x86 box (numpy 2.4, OpenBLAS): at H = 8
@@ -84,6 +93,13 @@ class Curve:
             raise RegularityLost(
                 f"min sampled speed {speeds.min():.3e} <= "
                 f"{SPEED_FLOOR:g} * diameter {diam:.3e}"
+            )
+        if diam < _MIN_DIAMETER:
+            raise ValueError(f"curve diameter {diam:.3g} is below {_MIN_DIAMETER:g}")
+        if scale > _MAX_SCALE_PER_DIAMETER * diam:
+            raise ValueError(
+                f"curve scale {scale:.3g} exceeds "
+                f"{_MAX_SCALE_PER_DIAMETER:g} x its diameter {diam:.3g}"
             )
 
     @property

@@ -92,9 +92,7 @@ def f_map(c: Config4) -> np.ndarray:
     pi41 = c.direction(4, 1)
     pi21 = c.direction(2, 1)
     pi24 = c.direction(2, 4)
-    d12 = c.dist(1, 2)
-    d13 = c.dist(1, 3)
-    d24 = c.dist(2, 4)
+    d12, d13, d24 = d[0], d[1], d[4]
     return np.array(
         [
             np.dot(pi14 + pi34, pi13),
@@ -132,16 +130,15 @@ def g_directional_derivative(c: Config4, h: Variation4) -> np.ndarray:
     _require_on_slq(c)
     dl = lambda i, j: length_derivative(c, h, i, j)
     d14 = c.dist(1, 4)
-    d21 = c.dist(2, 1)
-    d32 = c.dist(3, 2)
     d12 = c.dist(1, 2)
+    d23 = c.dist(2, 3)
     d13 = c.dist(1, 3)
     d24 = c.dist(2, 4)
     return np.array(
         [
             2.0 / d14 * (dl(1, 2) - dl(1, 4)),
-            2.0 / d21 * (dl(2, 3) - dl(2, 1)),
-            2.0 / d32 * (dl(3, 4) - dl(3, 2)),
+            2.0 / d12 * (dl(2, 3) - dl(2, 1)),
+            2.0 / d23 * (dl(3, 4) - dl(3, 2)),
             2.0 / d12**2 * (d13 * dl(1, 3) - d24 * dl(2, 4)),
         ]
     )

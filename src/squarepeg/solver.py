@@ -629,14 +629,14 @@ def _cluster_labels(canon: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _representatives(canon: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Index of the lexicographically smallest tuple of each class.
+    """Index of the lexicographically smallest tuple of each class, in lexicographic order.
 
-    Among equal tuples the first index wins, as ``np.lexsort`` is stable.
+    Among equal tuples the first index wins: ``np.lexsort`` is stable, and
+    ``np.unique`` returns the first occurrence of each label.
     """
-    order = np.lexsort((*canon.T[::-1], labels))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = labels[order[1:]] != labels[order[:-1]]
-    return order[first]
+    order = np.lexsort(canon.T[::-1])
+    _, first = np.unique(labels[order], return_index=True)
+    return order[np.sort(first)]
 
 
 def quotient_dedup(solutions: list, radius: float = SolverOptions.dedup_radius) -> list:
@@ -658,7 +658,6 @@ def quotient_dedup(solutions: list, radius: float = SolverOptions.dedup_radius) 
         if not np.array_equal(sol.theta, canon[best]):
             sol = replace(sol, theta=canon[best])
         reps.append(sol)
-    reps.sort(key=lambda s: tuple(s.theta))
     return reps
 
 
@@ -699,7 +698,6 @@ def find_all(
     canon = _canonical_batch(thetas[status == _STATUS_CONVERGED])
     labels = _cluster_labels(canon, opts.dedup_radius)
     classes = _make_solutions(curve, canon[_representatives(canon, labels)], opts)
-    classes.sort(key=lambda s: tuple(s.theta))
 
     all_transverse = all(s.transverse for s in classes)
     if not all_transverse:
@@ -721,6 +719,6 @@ def find_all(
 
 def _continuum_suspected(classes: list, opts: SolverOptions) -> bool:
     """Two non-transverse classes closer than 1000x the dedup radius."""
-    suspects = np.mod([s.theta for s in classes if not s.transverse], TWO_PI).reshape(-1, 4)
+    suspects = np.array([s.theta for s in classes if not s.transverse]).reshape(-1, 4)
     i, j = _linked(suspects, suspects, 1e3 * opts.dedup_radius)
     return bool(np.any(i != j))

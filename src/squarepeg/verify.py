@@ -26,6 +26,11 @@ from .slq import (
 #: planarity measure below which the nonplanar basis refuses to build
 PLANARITY_FLOOR = 1e-6
 
+#: the semi-axes accepted: inside this range every value that ``verify-ellipse``
+#: prints, 8 (a^4 - b^4) / (a^2 b^2) and the determinants included, is finite
+#: (at a = 1e60, b = 1e-60 the determinant overflows, at a = 1e77 the formula)
+_AXIS_RANGE = (1e-50, 1e50)
+
 
 # ---------------------------------------------------------------------------
 # ellipse base case
@@ -53,7 +58,6 @@ def ellipse_basis(a: float, b: float) -> list:
     which at the square works out to the (-a^2, b^2)/sqrt(a^2+b^2) pattern
     rotated per quadrant.
     """
-    _check_axes(a, b)
     angles = ellipse_square_angles(a, b)
     out = []
     for i, t in enumerate(angles, start=1):
@@ -260,9 +264,11 @@ def equivalence_harness(trials: int, seed: int) -> EquivalenceReport:
 
 def _check_axes(a: float, b: float) -> None:
     # the comparisons are False for nan, so this also rejects it
-    if not (np.inf > a > b > 0):
+    lo, hi = _AXIS_RANGE
+    if not (hi >= a > b >= lo):
         raise ValueError(
-            f"need finite a > b > 0 (a circle has no isolated square); got a={a}, b={b}"
+            f"need finite a > b > 0, both in [{lo:g}, {hi:g}] "
+            f"(a circle has no isolated square); got a={a}, b={b}"
         )
 
 

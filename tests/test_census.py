@@ -2,10 +2,15 @@
 
 Twenty space curves: the first sixteen kept seeds that read odd, and four
 that read even because ``find_all`` misses classes there.  Seven curves in
-R^4: seeds 1000-1004, odd, and two misses.  Fixing the misses flips those
-strict xfails.
+R^4: seeds 1000-1004, odd, and two misses.  Seventeen curves with a k-fold
+symmetry: two closed seeds per k and kind, four that read odd but are not
+closed under the symmetry, and one that reads even.  Fixing the misses
+flips those strict xfails.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
 import census
@@ -32,6 +37,33 @@ MISS4_REASON = (
     "find_all finds 2 of the oracle's 3 classes in R^4 and reads even; "
     "ROADMAP items 1 and 11"
 )
+
+
+#: (kind, k, seed): closed and odd, two per k and kind, one of them with more
+#: than one orbit of k classes where seeds 0-11 hold one
+SYM_CLOSED = (
+    ("planar", 3, 0), ("planar", 3, 2), ("planar", 5, 0), ("planar", 5, 1),
+    ("planar", 7, 0), ("planar", 7, 8), ("space", 3, 0), ("space", 3, 2),
+    ("space", 5, 0), ("space", 5, 1), ("space", 7, 0), ("space", 7, 4),
+)  # fmt: skip
+
+#: odd, with 11, 27, 17 and 33 classes, yet not closed: misses parity cannot see
+SYM_NOT_CLOSED = (("space", 3, 26), ("space", 5, 170), ("space", 7, 26), ("space", 7, 155))
+
+SYM_NOT_CLOSED_REASON = (
+    "find_all misses whole orbits' worth of classes on symmetric space curves "
+    "and still reads odd; ROADMAP items 15 and 1"
+)
+
+#: 14 classes, even and not a multiple of 5
+SYM_EVEN = (("planar", 5, 101),)
+
+SYM_EVEN_REASON = "find_all misses classes of a 5-fold symmetric curve and reads even"
+
+
+def sym_id(case) -> str:
+    kind, k, seed = case
+    return f"{kind}-k{k}-{seed}"
 
 
 def missed(seeds, reason):
@@ -70,3 +102,41 @@ def test_census_slice_is_odd(reports, seed):
 @pytest.mark.parametrize("seed", [*ODD4, *missed(MISSES4, MISS4_REASON)])
 def test_census_slice_in_r4_is_odd(reports4, seed):
     assert reports4[seed].parity == "odd"
+
+
+@pytest.fixture(scope="module")
+def sym_reports():
+    found = {}
+    for kind, k, seed in SYM_CLOSED + SYM_NOT_CLOSED + SYM_EVEN:
+        recipe = functools.partial(census.symmetric_curve, k, space=kind == "space")
+        [(_, curve)] = census.kept(recipe, [seed])
+        found[kind, k, seed] = find_all(curve)
+    return found
+
+
+@pytest.mark.parametrize("k", census.SYMMETRY_ORDERS)
+def test_symmetric_curve_has_its_symmetry(k):
+    # gamma(t + 2 pi / k) is gamma(t) turned by 2 pi / k about the z axis
+    t = np.linspace(0.0, 2 * np.pi, 50)
+    c, s = np.cos(2 * np.pi / k), np.sin(2 * np.pi / k)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    curve = census.symmetric_curve(k, 0, space=True)
+    turned = curve.eval(t) @ rotation.T
+    assert np.abs(curve.eval(t + 2 * np.pi / k) - turned).max() < 1e-12
+    planar = census.symmetric_curve(k, 0, space=False)
+    assert np.array_equal(planar.cos_coeffs, curve.cos_coeffs[:2])
+
+
+@pytest.mark.parametrize(
+    "case", [*SYM_CLOSED, *missed(SYM_NOT_CLOSED, SYM_NOT_CLOSED_REASON)], ids=sym_id
+)
+def test_symmetric_slice_is_closed(sym_reports, case):
+    assert census.closed(sym_reports[case], case[1])
+
+
+@pytest.mark.parametrize(
+    "case", [*SYM_CLOSED, *SYM_NOT_CLOSED, *missed(SYM_EVEN, SYM_EVEN_REASON)], ids=sym_id
+)
+def test_symmetric_slice_is_odd(sym_reports, case):
+    assert sym_reports[case].degeneracy_flags == []
+    assert sym_reports[case].parity == "odd"

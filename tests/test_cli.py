@@ -13,7 +13,7 @@ from squarepeg import curve_from_json_dict, residual
 from squarepeg import cli
 from squarepeg.cli import build_parser, main
 
-from conftest import three_lobe_curve
+from conftest import three_lobe_curve, unresolvable_curves
 
 ELLIPSE = {"type": "ellipse", "a": 2, "b": 1}
 CIRCLE = {"type": "ellipse", "a": 1, "b": 1}
@@ -185,6 +185,14 @@ def test_find_non_finite_coefficient_exits_1(tmp_path, token, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("name", sorted(unresolvable_curves()))
+def test_find_unresolvable_curve_exits_1(curve_file, capsys, name):
+    assert main(["find", "--curve", curve_file(unresolvable_curves()[name])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curve ") and captured.err.count("\n") == 1
+
+
 def test_find_missing_file(tmp_path):
     code = main(["find", "--curve", str(tmp_path / "nope.json")])
     assert code == 1
@@ -213,12 +221,18 @@ def test_verify_ellipse_rejects_circle(capsys):
     assert main(["verify-ellipse", "--a", "1", "--b", "1"]) == 1
 
 
-@pytest.mark.parametrize("a", ["inf", "nan"])
-def test_verify_ellipse_rejects_non_finite_axis(a, capsys):
-    assert main(["verify-ellipse", "--a", a, "--b", "1"]) == 1
+@pytest.mark.parametrize(
+    "a,b",
+    [("inf", "1"), ("nan", "1"), ("1e200", "1"), ("1e100", "1e-100")],
+    ids=["inf", "nan", "1e200", "1e100-1e-100"],
+)
+def test_verify_ellipse_rejects_non_finite_axis(a, b, capsys):
+    # 1e200 and 1e100 / 1e-100 once overflowed in 8 (a^4 - b^4) / (a^2 b^2)
+    assert main(["verify-ellipse", "--a", a, "--b", b]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite a > b > 0" in captured.err
+    assert captured.err.count("\n") == 1 and "in [1e-50, 1e+50]" in captured.err
 
 
 def test_equivalence_command(capsys):

@@ -141,6 +141,17 @@ def test_track_regularity_lost(ellipse21):
     assert err.value.t == pytest.approx(0.5, abs=1e-9)
 
 
+def test_track_stops_where_the_curve_is_too_small_for_its_offset(ellipse21):
+    # centred at (1, 1), the path to the mirrored ellipse has a diameter of 8e-4
+    # at t = 0.4999: the path is lost there (exit 2), it is not bad input (exit 1)
+    shifted = ellipse21.a0 + 1
+    c0 = Curve(shifted, ellipse21.cos_coeffs, ellipse21.sin_coeffs)
+    c1 = Curve(shifted, -ellipse21.cos_coeffs, -ellipse21.sin_coeffs)
+    with pytest.raises(RegularityLost, match="exceeds 1000 x its diameter") as err:
+        continuation._curve_at(c0, c1, 0.4999)
+    assert err.value.t == 0.4999
+
+
 def test_track_embedding_lost_at_target(ellipse21):
     # the target is regular but crosses itself: the embedding check stops the path
     with pytest.raises(RegularityLost, match="embedding lost") as err:

@@ -24,7 +24,7 @@ from squarepeg.curve import (
 )
 from squarepeg.errors import RegularityLost
 
-from conftest import random_smooth_curve
+from conftest import random_smooth_curve, unresolvable_curves
 
 TWO_PI = 2 * np.pi
 
@@ -176,6 +176,27 @@ def test_curve_rejects_scale_above_the_bound(field):
     # a tiny scale is a regularity failure, not a scale error
     with pytest.raises(RegularityLost):
         make_ellipse(1e-300, 1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(unresolvable_curves()))
+def test_curve_rejects_what_float64_cannot_resolve(name):
+    # a diameter below 1e-150, or a scale above 1e3 diameters: each was once
+    # solved to a confident even count
+    match = r"below 1e-150|exceeds 1000 x its diameter"
+    with pytest.raises(ValueError, match=match):
+        curve_from_json_dict(unresolvable_curves()[name])
+
+
+def test_curve_scale_per_diameter_bound():
+    with pytest.raises(ValueError, match=r"curve diameter 4e-160 is below 1e-150"):
+        make_ellipse(2e-160, 1e-160)
+    assert make_ellipse(2e-150, 1e-150).diameter == pytest.approx(4e-150)
+    # a 2:1 ellipse of diameter 4 stays accepted up to a shift of 4e3 - 2,
+    # where |a0| + sum |cos| + sum |sin| reaches 1e3 diameters
+    ellipse = make_ellipse(2, 1)
+    Curve(ellipse.a0 + 3.9e3, ellipse.cos_coeffs, ellipse.sin_coeffs)
+    with pytest.raises(ValueError, match=r"curve scale 4\.1e\+03 exceeds 1000 x its diameter 4"):
+        Curve(ellipse.a0 + 4.1e3, ellipse.cos_coeffs, ellipse.sin_coeffs)
 
 
 def test_unit_circle_is_legal_to_build():

@@ -801,6 +801,23 @@ def test_class_count_invariant_under_reparametrisation_and_scaling(name, expecte
         assert report.degeneracy_flags == [], label
 
 
+def test_find_all_far_from_the_origin_keeps_its_answers(three_lobe):
+    # 100 diameters out in every coordinate, well inside the 1e3 bound of ``Curve``
+    ellipse = make_ellipse(2, 1)
+    curves = {
+        "ellipse": (ellipse, 1),
+        "three-lobe": (three_lobe, 3),
+        "perturbed7": (perturb(ellipse, 0.05, 5, seed=7), 1),
+        "trefoil": (trefoil(), 15),
+    }
+    for name, (curve, count) in curves.items():
+        moved = Curve(curve.a0 + 100 * curve.diameter, curve.cos_coeffs, curve.sin_coeffs)
+        report = find_all(moved)
+        assert (len(report.classes), report.parity, report.degeneracy_flags) == (
+            count, "odd", []
+        ), name
+
+
 def test_continuum_suspected_flag(unit_circle):
     # coarse dedup radius widens the suspicion window past the continuum's
     # root spacing, so neighboring non-transverse classes trip the flag
