@@ -6,45 +6,21 @@ squares when planar.  Solutions are certified by a reduced 4x4 Jacobian,
 counted up to cyclic relabeling, and carry an odd/even parity verdict.
 """
 
-from . import errors
-from .config import (
-    Config4,
-    Stratum,
-    block_cycle_orientation_sign,
-    cyclic_relabel,
-    direction,
-    ordered_component_check,
-    ratio,
-    s_ratio,
-    strata_proximity,
-)
-from .curve import (
-    Curve,
-    curve_from_json_dict,
-    make_ellipse,
-    perturb,
-    regularity_and_embedding_check,
-)
-from .solver import (
-    SolverOptions,
-    Solution,
-    SolveReport,
-    canonical_theta,
-    class_distance,
-    find_all,
-    jacobian,
-    newton_refine,
-    quotient_dedup,
-    residual,
-    seed_grid,
-)
-
-#: public names of the submodules imported on first access (PEP 562), so that
-#: ``squarepeg find`` does not compile and run code it never calls
+#: each submodule and the public names it holds, imported on first access
+#: (PEP 562), so that ``import squarepeg`` runs no submodule and
+#: ``squarepeg find`` none that it never calls
 _LAZY = {
+    "config": ("Config4", "Stratum", "block_cycle_orientation_sign", "cyclic_relabel",
+               "direction", "ordered_component_check", "ratio", "s_ratio", "strata_proximity"),
     "continuation": ("ContinuationTrace", "TrackEvent", "interpolate", "track"),
+    "curve": ("Curve", "curve_from_json_dict", "make_ellipse", "perturb",
+              "regularity_and_embedding_check"),
+    "errors": (),
     "slq": ("QuadMeasurements", "Variation4", "f_hat", "f_map", "g_directional_derivative",
             "g_map", "make_bent_rhombus", "measurements"),
+    "solver": ("SolverOptions", "Solution", "SolveReport", "canonical_theta", "class_distance",
+               "find_all", "jacobian", "newton_refine", "quotient_dedup", "residual",
+               "seed_grid"),
     "verify": ("EquivalenceReport", "ellipse_basis", "ellipse_dg_matrix", "ellipse_square",
                "ellipse_square_angles", "equivalence_harness", "mu_pushforward_dg_matrix",
                "mu_pushforward_nonplanar_dg_matrix", "nonplanar_basis", "nonplanar_dg_matrix"),
@@ -71,13 +47,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-#: the eager names, by module as imported above, and the lazy ones
-__all__ = sorted([
-    "errors",
-    "Config4", "Stratum", "block_cycle_orientation_sign", "cyclic_relabel", "direction",
-    "ordered_component_check", "ratio", "s_ratio", "strata_proximity",
-    "Curve", "curve_from_json_dict", "make_ellipse", "perturb", "regularity_and_embedding_check",
-    "SolverOptions", "Solution", "SolveReport", "canonical_theta", "class_distance", "find_all",
-    "jacobian", "newton_refine", "quotient_dedup", "residual", "seed_grid",
-    *(name for names in _LAZY.values() for name in names),
-])  # fmt: skip
+__all__ = sorted(["errors", *(name for names in _LAZY.values() for name in names)])

@@ -33,6 +33,14 @@ def _as_count(name: str, value, minimum: int | None = None) -> int:
     return count
 
 
+def _slot(label) -> int:
+    """The 0-based row of a 1-based point label; ``ValueError`` naming it outside 1-4."""
+    slot = _as_count("label", label) - 1
+    if not 0 <= slot < 4:
+        raise ValueError(f"point labels are 1-4, got {label!r}")
+    return slot
+
+
 def direction(p, q) -> np.ndarray:
     """Unit vector from q toward p, i.e. (p - q) / |p - q|."""
     p = np.asarray(p, dtype=float)
@@ -73,7 +81,7 @@ class Config4:
 
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True)
-        if pts.shape[0] != 4 or pts.ndim != 2:
+        if pts.ndim != 2 or pts.shape[0] != 4:
             raise ValueError(f"expected 4 points of equal dimension, got shape {pts.shape}")
         if pts.shape[1] < 2:
             raise ValueError("ambient dimension must be >= 2")
@@ -94,10 +102,10 @@ class Config4:
         return self.points.shape[1]
 
     def point(self, i: int) -> np.ndarray:
-        return self.points[i - 1]
+        return self.points[_slot(i)]
 
     def dist(self, i: int, j: int) -> float:
-        return float(self._dists[i - 1, j - 1])
+        return float(self._dists[_slot(i), _slot(j)])
 
     def direction(self, i: int, j: int) -> np.ndarray:
         """Unit vector from p_j toward p_i."""

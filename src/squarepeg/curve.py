@@ -25,6 +25,11 @@ SPEED_FLOOR = 1e-6
 #: residual kernels square pair distances, which overflow from about 1e154
 MAX_SCALE = 1e150
 
+#: largest harmonic count accepted: the 4,096 check samples then hold at least
+#: 16 per period of the top harmonic, and a cold ``find`` peaks near 120 MB
+#: (each harmonic adds 64 KB to the cached check table alone)
+MAX_HARMONICS = 256
+
 #: smallest diameter accepted: above it the squared separations at the
 #: separation guard, at least (1e-3 D)^2, stay normal floats
 _MIN_DIAMETER = 1e-150
@@ -72,6 +77,7 @@ class Curve:
             raise ValueError(f"ambient dimension must be >= 2, got {k}")
         if cos_c.shape[0] != k or sin_c.shape[0] != k or cos_c.shape != sin_c.shape:
             raise ValueError("coefficient arrays must share the shape (k, H)")
+        _check_harmonics(cos_c.shape[1])
         if not all(np.isfinite(arr).all() for arr in (a0, cos_c, sin_c)):
             raise ValueError("curve coefficients must be finite")
         scale = (np.abs(a0) + np.abs(cos_c).sum(axis=1) + np.abs(sin_c).sum(axis=1)).max()
@@ -218,6 +224,7 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
     if not 0 <= amplitude < np.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     max_harmonic = _as_count("max_harmonic", max_harmonic, minimum=0)
+    _check_harmonics(max_harmonic)  # before the padded coefficients are allocated
     if amplitude == 0 or max_harmonic == 0:
         return Curve(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
     k = curve.dim
@@ -228,6 +235,12 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
     cos_c[:, :max_harmonic] += rng.uniform(-amplitude, amplitude, size=(k, max_harmonic))
     sin_c[:, :max_harmonic] += rng.uniform(-amplitude, amplitude, size=(k, max_harmonic))
     return Curve(curve.a0, cos_c, sin_c)
+
+
+def _check_harmonics(count: int) -> None:
+    """Raise ValueError for a harmonic count above ``MAX_HARMONICS``."""
+    if count > MAX_HARMONICS:
+        raise ValueError(f"{count} harmonics exceed {MAX_HARMONICS}")
 
 
 def _zero_padded(coeffs: np.ndarray, h: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import G_TARGET, Config4
+from .config import G_TARGET, Config4, _slot
 from .errors import CoincidentPoints, DegenerateConfiguration, NotOnSlq
 
 #: how far g_map may sit from G_TARGET for the simplified derivative to apply
@@ -37,7 +37,7 @@ class Variation4:
     def single(cls, slot: int, vector, dim: int) -> "Variation4":
         """Variation moving only the point with 1-based label ``slot``."""
         v = np.zeros((4, dim))
-        v[slot - 1] = np.asarray(vector, dtype=float)
+        v[_slot(slot)] = np.asarray(vector, dtype=float)
         return cls(v)
 
     def cyclic_relabel(self) -> "Variation4":

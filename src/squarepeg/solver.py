@@ -177,9 +177,18 @@ class SolveReport:
     """Cyclic classes of inscribed square-like quadrilaterals on one curve."""
 
     classes: list
-    parity: str  # "odd" | "even" | "withheld"
-    all_transverse: bool
     degeneracy_flags: list = field(default_factory=list)
+
+    @property
+    def parity(self) -> str:
+        """The class count mod 2, "odd" or "even"; "withheld" under any flag."""
+        if self.degeneracy_flags:
+            return "withheld"
+        return "odd" if len(self.classes) % 2 == 1 else "even"
+
+    @property
+    def all_transverse(self) -> bool:
+        return all(s.transverse for s in self.classes)
 
     @property
     def labeled_count(self) -> int:
@@ -699,22 +708,14 @@ def find_all(
     labels = _cluster_labels(canon, opts.dedup_radius)
     classes = _make_solutions(curve, canon[_representatives(canon, labels)], opts)
 
-    all_transverse = all(s.transverse for s in classes)
-    if not all_transverse:
+    if not all(s.transverse for s in classes):
         flags.append("NonTransverse")
     if _continuum_suspected(classes, opts):
         flags.append("ContinuumSuspected")
     if not classes and not flags:
         # no root converged: the theorem promises an odd count, so 0 proves nothing
         flags.append("IncompleteSuspected")
-    # a dropped root, a non-transverse class or no class leaves the count unproven
-    parity = "withheld" if flags else ("odd" if len(classes) % 2 == 1 else "even")
-    return SolveReport(
-        classes=classes,
-        parity=parity,
-        all_transverse=all_transverse,
-        degeneracy_flags=flags,
-    )
+    return SolveReport(classes, flags)
 
 
 def _continuum_suspected(classes: list, opts: SolverOptions) -> bool:

@@ -31,6 +31,12 @@ PLANARITY_FLOOR = 1e-6
 #: (at a = 1e60, b = 1e-60 the determinant overflows, at a = 1e77 the formula)
 _AXIS_RANGE = (1e-50, 1e50)
 
+#: the axis ratios a / b accepted: inside this range both printed determinants
+#: agree with 8 (a^4 - b^4) / (a^2 b^2) to 1e-6 relative (9.2e-7 at worst over
+#: ratios and b in [1e-40, 1e40]); they err by 9e-5 at a / b = 1e6 and by
+#: 1.6e-5 at 1 + 1e-11, and at a = 1e50, b = 1 the determinant has the wrong sign
+_RATIO_RANGE = (1 + 1e-10, 1e5)
+
 
 # ---------------------------------------------------------------------------
 # ellipse base case
@@ -269,6 +275,12 @@ def _check_axes(a: float, b: float) -> None:
         raise ValueError(
             f"need finite a > b > 0, both in [{lo:g}, {hi:g}] "
             f"(a circle has no isolated square); got a={a}, b={b}"
+        )
+    lo, hi = _RATIO_RANGE
+    if not (hi >= a / b >= lo):
+        raise ValueError(
+            f"need a / b in [{lo:.12g}, {hi:g}], where the determinants are accurate "
+            f"to 1e-6; got a / b = {a / b:.12g}"
         )
 
 

@@ -59,3 +59,22 @@ def test_out_holds_every_run_quartiles_and_verdicts(bench_pairs, monkeypatch, tm
     }
     # the printed report carries the same verdicts
     assert rel["gain"] in printed and rss["bound"] in printed
+
+
+def test_wide_iqr_without_a_clean_separation_is_unresolved(bench_pairs):
+    # the parent's IQR is 43% of its median, over the 25% bound, and the
+    # change's median is 5.7% worse, under it: the runs cannot tell
+    parent, change = [1.0, 1.5, 2.0, 2.5], [1.2, 1.6, 2.1, 2.4]
+    gain, bound = bench_pairs.verdicts(parent, change, "lower", 0.25)
+    assert bound == "bound 25%: unresolved, an IQR is 42.9% of its median; median 5.7% worse"
+    assert gain.startswith("gain does not hold: better in 1 of 4 pairs")
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_every_change_run_better_is_within_despite_a_wide_iqr(bench_pairs, better):
+    # each change run beats each parent run, so the spread does not matter
+    parent, change = [2.0, 3.0, 4.0, 5.0], [1.0, 1.2, 1.5, 1.9]
+    if better == "higher":
+        parent, change = [-v for v in parent], [-v for v in change]
+    _, bound = bench_pairs.verdicts(parent, change, better, 0.25)
+    assert bound == "bound 25%: within; median 61.4% better"

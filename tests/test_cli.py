@@ -11,6 +11,7 @@ import pytest
 import squarepeg
 from squarepeg import curve_from_json_dict, residual
 from squarepeg import cli
+from squarepeg import curve as curve_module
 from squarepeg.cli import build_parser, main
 
 from conftest import three_lobe_curve, unresolvable_curves
@@ -132,6 +133,21 @@ def test_grid_above_the_bound_exits_1_before_any_scan(curve_file, capsys, monkey
     assert "grid must be in [4, 96]" in capsys.readouterr().err
 
 
+def _padded_ellipse(harmonics: int) -> dict:
+    """The 2:1 ellipse's JSON, its coefficient lists padded with zeros to ``harmonics``."""
+    pad = [0.0] * (harmonics - 1)
+    return {"dim": 2, "coords": [{"a0": 0, "cos": [2.0, *pad], "sin": [0.0, *pad]},
+                                 {"a0": 0, "cos": [0.0, *pad], "sin": [1.0, *pad]}]}  # fmt: skip
+
+
+def test_harmonics_above_the_bound_exit_1_before_any_table(curve_file, capsys, monkeypatch):
+    for name in ("_sample_table", "_harmonic_table"):
+        monkeypatch.setattr(curve_module, name, lambda *args: pytest.fail("a table was built"))
+    too_many = curve_file(_padded_ellipse(curve_module.MAX_HARMONICS + 1))
+    assert main(["find", "--curve", too_many]) == 1
+    assert capsys.readouterr().err == "error: 257 harmonics exceed 256\n"
+
+
 def test_find_malformed_curve_names_field(curve_file, tmp_path, capsys):
     bad = curve_file({"dim": 2}, name="bad.json")
     code = main(["find", "--curve", bad, "--json", str(tmp_path / "r.json")])
@@ -233,6 +249,19 @@ def test_verify_ellipse_rejects_non_finite_axis(a, b, capsys):
     assert captured.out == ""
     assert "finite a > b > 0" in captured.err
     assert captured.err.count("\n") == 1 and "in [1e-50, 1e+50]" in captured.err
+
+
+@pytest.mark.parametrize("a", ["1e6", "1e50", "1.000000000001"])
+def test_verify_ellipse_rejects_a_ratio_outside_its_range(a, capsys):
+    # the printed determinants err by 9e-5 at a / b = 1e6, take the wrong sign
+    # at 1e50 and err by 1e-4 at 1 + 1e-12
+    assert main(["verify-ellipse", "--a", a, "--b", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need a / b in [1.0000000001, 100000]")
+    assert captured.err.count("\n") == 1
+    for a in ("1e5", "1.0000000001"):
+        assert main(["verify-ellipse", "--a", a, "--b", "1"]) == 0
 
 
 def test_equivalence_command(capsys):
@@ -377,6 +406,7 @@ def test_main_leaves_the_heap_unfrozen(curve_file, tmp_path):
 
 
 LAZY_MODULES = ("squarepeg.continuation", "squarepeg.slq", "squarepeg.verify")
+SUBMODULES = ("config", "continuation", "curve", "errors", "slq", "solver", "verify")
 
 
 def _run_python(code: str, *args) -> str:
@@ -438,7 +468,7 @@ def test_lazy_public_names_resolve():
         "import json, sys\n"
         "import squarepeg\n"
         "lazy_dir = dir(squarepeg)\n"
-        f"loaded = [m for m in {LAZY_MODULES!r} if m in sys.modules]\n"
+        f"loaded = [m for m in {SUBMODULES!r} if 'squarepeg.' + m in sys.modules]\n"
         "try:\n"
         "    squarepeg.no_such_name\n"
         "except AttributeError as exc:\n"
@@ -453,7 +483,7 @@ def test_lazy_public_names_resolve():
         "                  'same_dir': dir(squarepeg) == lazy_dir,\n"
         "                  'track_home': squarepeg.track.__module__,\n"
         "                  'submodules': [type(getattr(squarepeg, m)).__name__\n"
-        "                                 for m in ('continuation', 'slq', 'verify')]}))\n"
+        f"                                 for m in {SUBMODULES!r}]}}))\n"
     )
     got = json.loads(_run_python(code).splitlines()[-1])
     assert got["loaded"] == []
@@ -462,7 +492,7 @@ def test_lazy_public_names_resolve():
     assert got["star"] == sorted(squarepeg.__all__) and len(got["star"]) == 48
     assert got["same_dir"]
     assert got["track_home"] == "squarepeg.continuation"
-    assert got["submodules"] == ["module"] * 3
+    assert got["submodules"] == ["module"] * len(SUBMODULES)
 
 
 def test_solver_flags_accepted(curve_file, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from squarepeg import (
     Config4,
     Stratum,
+    Variation4,
     block_cycle_orientation_sign,
     cyclic_relabel,
     direction,
@@ -79,6 +82,30 @@ def test_config4_caches():
     assert c.s_ratio(1, 2, 4) == pytest.approx(0.5)
     assert c.min_separation() == pytest.approx(1.0)
     assert c.diameter() == pytest.approx(np.sqrt(2))
+
+
+ACCESSORS = {
+    "point": lambda c, k: c.point(k),
+    "dist": lambda c, k: c.dist(k, 2),
+    "direction": lambda c, k: c.direction(1, k),
+    "ratio": lambda c, k: c.ratio(k, 1, 2),
+    "s_ratio": lambda c, k: c.s_ratio(1, 2, k),
+    "Variation4.single": lambda c, k: Variation4.single(k, [1.0, 0.0], dim=2),
+}
+
+
+@pytest.mark.parametrize("label", [0, -1, 5])
+@pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+def test_labels_outside_1_to_4_raise(accessor, label):
+    # 0 and -1 once read p4 and p3 through negative indexing, 5 an IndexError
+    with pytest.raises(ValueError, match=f"point labels are 1-4, got {label}$"):
+        ACCESSORS[accessor](Config4(UNIT_SQUARE), label)
+
+
+@pytest.mark.parametrize("points", [5, [1.0, 2.0], np.zeros((3, 2)), np.zeros((4, 2, 1))])
+def test_config4_names_a_wrong_shape(points):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(points)}")):
+        Config4(points)
 
 
 def test_config4_immutable():

@@ -162,7 +162,7 @@ def test_track_embedding_lost_at_target(ellipse21):
 def _report(*thetas) -> SolveReport:
     """A report whose classes carry only their angles, all the matching reads."""
     classes = [SimpleNamespace(theta=np.array(t, dtype=float)) for t in thetas]
-    return SolveReport(classes=classes, parity="odd", all_transverse=True)
+    return SolveReport(classes=classes)
 
 
 SQUARE = (0.1, 1.7, 3.2, 4.8)
@@ -215,7 +215,7 @@ def test_track_names_the_flags_of_a_step_withheld_after_its_retry(ellipse21, mon
         solved.append(opts.grid)
         if opts.grid != FRESH_GRID:
             return report
-        return replace(report, parity="withheld", degeneracy_flags=["NearBoundary"])
+        return replace(report, degeneracy_flags=["NearBoundary"])
 
     monkeypatch.setattr(continuation, "find_all", interior_withheld)
     message = "step retried at t=0.25 from t=0.5 withholds parity: NearBoundary$"

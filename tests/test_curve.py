@@ -13,6 +13,7 @@ from squarepeg import (
 )
 from squarepeg.curve import (
     CHECK_SAMPLES,
+    MAX_HARMONICS,
     MAX_SCALE,
     _ACCUMULATE_MAX_ANGLES,
     _accumulated,
@@ -187,6 +188,17 @@ def test_curve_rejects_what_float64_cannot_resolve(name):
         curve_from_json_dict(unresolvable_curves()[name])
 
 
+def test_curve_at_the_harmonic_bound_constructs():
+    ellipse = make_ellipse(2, 1)
+    cos_c, sin_c = (np.pad(c, ((0, 0), (0, MAX_HARMONICS - 1))) for c in
+                    (ellipse.cos_coeffs, ellipse.sin_coeffs))  # fmt: skip
+    curve = Curve(ellipse.a0, cos_c, sin_c)
+    assert curve.harmonics == MAX_HARMONICS
+    assert curve.diameter == pytest.approx(ellipse.diameter, rel=1e-12)
+    with pytest.raises(ValueError, match=f"{MAX_HARMONICS + 1} harmonics exceed"):
+        Curve(ellipse.a0, np.pad(cos_c, ((0, 0), (0, 1))), np.pad(sin_c, ((0, 0), (0, 1))))
+
+
 def test_curve_scale_per_diameter_bound():
     with pytest.raises(ValueError, match=r"curve diameter 4e-160 is below 1e-150"):
         make_ellipse(2e-160, 1e-160)
@@ -230,6 +242,7 @@ def test_perturb_same_seed_bitwise_identical(ellipse21):
         (np.inf, 2, "amplitude must be finite"),
         (-np.inf, 2, "amplitude must be finite"),
         (-0.1, 2, "amplitude must be finite and >= 0"),
+        (0.1, 257, "257 harmonics exceed 256"),
     ],
 )
 def test_perturb_rejects_bad_amplitude_and_harmonic(ellipse21, amplitude, max_harmonic, match):

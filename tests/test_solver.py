@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from squarepeg import (
     Config4,
     Curve,
+    SolveReport,
     SolverOptions,
     canonical_theta,
     class_distance,
@@ -615,6 +617,26 @@ def test_find_all_withholds_parity_when_it_finds_no_class(three_lobe):
         report = find_all(three_lobe, opts)
         assert report.parity == "withheld", opts
         assert (report.classes, report.degeneracy_flags) == ([], ["IncompleteSuspected"]), opts
+
+
+FLAGS = ("NearBoundary", "NonTransverse", "ContinuumSuspected", "IncompleteSuspected")
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "flags", [[], *([f] for f in FLAGS), list(FLAGS)], ids=lambda f: "+".join(f) or "none"
+)
+def test_report_parity_follows_its_flags_and_count(count, flags):
+    # the verdict is derived, so no report can state a parity its flags contradict
+    report = SolveReport([SimpleNamespace(transverse=True)] * count, flags)
+    assert report.parity == ("withheld" if flags else ("even", "odd")[count % 2])
+    assert report.all_transverse and report.labeled_count == 4 * count
+
+
+def test_report_is_transverse_when_every_class_is():
+    classes = [SimpleNamespace(transverse=t) for t in (True, False, True)]
+    assert not SolveReport(classes, ["NonTransverse"]).all_transverse
+    assert SolveReport(classes[:1]).all_transverse
 
 
 def test_cyclic_completeness(three_lobe):
