@@ -25,9 +25,11 @@ file, for each of those curve files.  ``cli-withheld``: the same for ``find
 (a = 2, b = 1), ``cli-equivalence`` (50 trials, seed 3) and ``cli-track``
 (ellipse to three-lobe, 8 steps): the exit code, the stdout and the
 ``--json`` file of that command run as a child on this checkout's sources.
-``api``: ``squarepeg.__all__``, ``dir(squarepeg)`` in a
-fresh child before any lazy name resolves, and the ``--help`` text of the
-CLI and of each subcommand at 100 columns.
+``index-tables``: the five ``_index_tables(n)`` arrays, with their dtypes
+and shapes, for n = 8, 12, 14, 24, 32 and 48.  ``api``:
+``squarepeg.__all__``, ``dir(squarepeg)`` in a fresh child before any lazy
+name resolves, and the ``--help`` text of the CLI and of each subcommand at
+100 columns.
 """
 
 import hashlib
@@ -45,7 +47,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import squarepeg as sp  # noqa: E402
 import suite  # noqa: E402
-from squarepeg.solver import TWO_PI, SolverOptions, _newton_batch, _scan_seeds  # noqa: E402
+from squarepeg.solver import (  # noqa: E402
+    TWO_PI,
+    SolverOptions,
+    _index_tables,
+    _newton_batch,
+    _scan_seeds,
+)
 from test_solver import golden_curves  # noqa: E402
 
 
@@ -83,6 +91,14 @@ def newton_digest(curve) -> str:
 def embed_digest(curve) -> str:
     checks = [sp.regularity_and_embedding_check(curve, n) for n in (1024, 4096)]
     return hashlib.sha256(repr((curve.diameter, checks)).encode()).hexdigest()
+
+
+def index_tables_digest(sizes) -> str:
+    h = hashlib.sha256()
+    for n in sizes:
+        for table in _index_tables(n):
+            h.update(repr((n, table.dtype.str, table.shape)).encode() + table.tobytes())
+    return h.hexdigest()
 
 
 def track_digest(c0, c1, steps) -> str:
@@ -192,6 +208,8 @@ def main() -> None:
     print(f"cli-equivalence trials=50,seed=3 {harness}", flush=True)
     path = ("--curve", data / "ellipse.json", "--target", data / "three-lobe.json", "--steps", 8)
     print(f"cli-track ellipse->three-lobe {command_digest('track', *path)}", flush=True)
+    sizes = (8, 12, 14, 24, 32, 48)
+    print(f"index-tables n={','.join(map(str, sizes))} {index_tables_digest(sizes)}", flush=True)
     print(f"api {api_digest()}", flush=True)
 
 

@@ -92,12 +92,13 @@ class Curve:
             object.__setattr__(self, name, arr)
 
         # the diameter takes every 8th check sample: the same angles, bit for bit
-        speeds = np.linalg.norm(self._tangents(*_sample_table(CHECK_SAMPLES, harmonics)), axis=1)
+        tangents = self._tangents(*_sample_table(CHECK_SAMPLES, harmonics))
+        min_speed = np.sqrt(_squared_norms(tangents).min())
         diam = _point_set_diameter(self._points(*_sample_table(CHECK_SAMPLES // 8, harmonics)))
         object.__setattr__(self, "_diameter", float(diam))
-        if speeds.min() <= SPEED_FLOOR * diam:
+        if min_speed <= SPEED_FLOOR * diam:
             raise RegularityLost(
-                f"min sampled speed {speeds.min():.3e} <= "
+                f"min sampled speed {min_speed:.3e} <= "
                 f"{SPEED_FLOOR:g} * diameter {diam:.3e}"
             )
         if diam < _MIN_DIAMETER:
@@ -260,17 +261,34 @@ def regularity_and_embedding_check(curve: Curve, samples: int = CHECK_SAMPLES) -
     a pair outside the skipped band, so it bounds the minimum, and
     ``_close_pairs`` returns every pair outside the band no farther apart
     than that bound; the minimum is the bound or the nearest of those pairs.
+    Each minimum is the square root of the smallest ``_squared_norms``: the
+    square root is monotone, so these are the bits of the smallest
+    ``np.linalg.norm`` over the rows, without a root per row.
     """
     samples = _as_count("samples", samples, minimum=16)
     c, s = _sample_table(samples, curve.harmonics)
-    min_speed = float(np.linalg.norm(curve._tangents(c, s), axis=1).min())
+    min_speed = float(np.sqrt(_squared_norms(curve._tangents(c, s)).min()))
     pts = curve._points(c, s)
     exclusion = 4
-    bound = np.linalg.norm(pts - np.roll(pts, -(exclusion + 1), axis=0), axis=1).min()
-    i, j = _close_pairs(pts, bound * (1 + 1e-12), skip=exclusion)
-    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
-    min_self = float(dist.min(initial=bound))
+    bound2 = _squared_norms(pts - np.roll(pts, -(exclusion + 1), axis=0)).min()
+    i, j = _close_pairs(pts, np.sqrt(bound2) * (1 + 1e-12), skip=exclusion)
+    min_self = float(np.sqrt(_squared_norms(pts[i] - pts[j]).min(initial=bound2)))
     return {"min_speed": min_speed, "min_self_distance": min_self}
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the (n, k) rows, summed one coordinate at a time.
+
+    For k <= 7 these are the bits of numpy's reduction over axis 1, which
+    ``np.linalg.norm(rows, axis=1)`` takes the square root of: numpy sums
+    fewer than 8 terms in order.  From k = 8 numpy unrolls its reduction
+    by 8, and the last bit can differ.  Streaming over whole columns is
+    several times faster than reducing the short axis of each row.
+    """
+    total = rows[:, 0] * rows[:, 0]
+    for x in rows.T[1:]:
+        total += x * x
+    return total
 
 
 def _close_pairs(pts: np.ndarray, radius: float, skip: int = 0):
@@ -371,25 +389,28 @@ def _point_set_diameter(pts: np.ndarray) -> float:
     difference array; its distance is then taken exactly.  The Gram form
     errs by a few eps times the squared diameter D^2.
 
-    Only rows that can hold the farthest pair are formed.  With r_i the
-    norm of centred point i, r the largest and L the distance from that
-    point to its own farthest one (so D/2 <= L <= D), every pair has
-    |a_i - a_j| <= r_i + r, so a row with r_i + r < L (1 - 1e-9) has every
-    Gram entry below L^2 less the Gram error, below the entry of the pair
-    at distance L.  The full matrix's maximum and its ties thus lie in the
-    kept rows, which keep their order and entries: the first maximum in
-    row-major order, the pair and the diameter agree bit for bit.  The
-    farthest point and its partner are kept, so the product stays a matrix
-    product (a single row would take BLAS's vector path).
+    Only the block of points that can hold the farthest pair is formed.
+    With r_i the norm of centred point i, r the largest and L the distance
+    from that point to its own farthest one (so D/2 <= L <= D), every pair
+    has |a_i - a_j| <= r_i + r_j <= r_i + r, so a pair with r_i + r <
+    L (1 - 1e-9), or with r_j + r below it, has a Gram entry below L^2 less
+    the Gram error, below the entry of the pair at distance L.  The full
+    matrix's maximum and its ties thus lie in the block of the kept rows
+    and the same kept columns, which keeps their order and entries: the
+    first maximum in row-major order, the pair and the diameter agree bit
+    for bit with the full matrix's.  The farthest point and its partner are
+    kept, so the product stays a matrix product (a single row would take
+    BLAS's vector path).
     """
     centred = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centred, centred)
     r = np.sqrt(sq)
     p = int(np.argmax(r))
-    reach = np.linalg.norm(centred - centred[p], axis=1).max()
-    rows = np.flatnonzero(r + r[p] >= reach * (1 - 1e-9))
-    dist2 = (-2.0 * centred[rows]) @ centred.T
-    dist2 += sq[rows, None]
-    dist2 += sq
-    a, j = divmod(int(np.argmax(dist2)), len(pts))
-    return float(np.linalg.norm(pts[rows[a]] - pts[j]))
+    reach = np.sqrt(_squared_norms(centred - centred[p]).max())
+    kept = np.flatnonzero(r + r[p] >= reach * (1 - 1e-9))
+    block = centred[kept]
+    dist2 = (-2.0 * block) @ block.T
+    dist2 += sq[kept, None]
+    dist2 += sq[kept]
+    a, b = divmod(int(np.argmax(dist2)), len(kept))
+    return float(np.linalg.norm(pts[kept[a]] - pts[kept[b]]))

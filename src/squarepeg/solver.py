@@ -26,7 +26,7 @@ from .config import (
     _ordered_batch,
     ordered_component_check,
 )
-from .curve import Curve
+from .curve import Curve, _harmonic_table
 from .errors import (
     DegenerateConfiguration,
     Divergence,
@@ -305,24 +305,39 @@ def _index_tables(n: int):
     x * n + y, x * n + z and y * n + z for the triple (x, y, z) of rank t,
     and the last table i * n + j for each pair i < j.  All are built once
     per n and returned read-only; no n^4 array is formed.
+
+    Everything is in closed form.  The size-k tuples in colex order are,
+    for each top index d in turn, the C(d, k - 1) size-(k - 1) tuples below
+    d (the first ones in their colex order) with d appended.  Index x in
+    slot p (from 0) adds C(x, p + 1) to the rank, so moving it to x + 1
+    adds C(x, p) and moving it to x - 1 subtracts C(x - 1, p) (Pascal's
+    rule), and a triple's rank is a sum of three binomial columns.
     """
-    # lexsort on the columns, last first, is the colex order
-    tuples, triples = (c[np.lexsort(c.T)] for c in (_combinations(n), _combinations(n, 3)))
-    # binom[x, p] = C(x, p + 1), the rank term of index x in slot p
-    binom = np.array([[math.comb(x, k) for k in range(1, 5)] for x in range(n + 1)], dtype=np.intp)
-    slots = np.arange(4)
+    # comb[x, p] = C(x, p) for x <= n and p <= 4
+    comb = np.array([[math.comb(x, p) for p in range(5)] for x in range(n + 1)], dtype=np.intp)
+    tuples = np.arange(n)[:, None]
+    for k in (2, 3, 4):
+        counts = comb[:n, k - 1]
+        ends = np.cumsum(counts)
+        prefix = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        tuples = np.hstack([tuples[prefix], np.repeat(np.arange(n), counts)[:, None]])
+        if k == 3:
+            triples = tuples
     count = len(tuples)
-    rank = np.arange(count)[:, None] - binom[tuples, slots]
+    rank = np.arange(count)[:, None]
     # a moved index must stay strictly between its neighbours in the tuple
     below = np.hstack([np.full((count, 1), -1), tuples[:, :3]])
     above = np.hstack([tuples[:, 1:], np.full((count, 1), n)])
+    # flat[5 x + p] = C(x, p); a -1 move from x = 0 reads a clipped, unused entry
+    flat, slots = comb.ravel(), np.arange(4)
+    up = rank + flat.take(tuples * 5 + slots)
+    down = rank - flat.take((tuples - 1) * 5 + slots, mode="clip")
     neighbours = np.hstack(
-        [
-            np.where(tuples + 1 < above, rank + binom[tuples + 1, slots], count),
-            np.where(tuples - 1 > below, rank + binom[tuples - 1, slots], count),
-        ]
+        [np.where(tuples + 1 < above, up, count), np.where(tuples - 1 > below, down, count)]
     )
-    triple_ranks = binom[tuples[:, [[0, 1, 3], [0, 1, 2], [1, 2, 3]]], slots[:3]].sum(axis=2).T
+    a, b, c, d = tuples.T
+    b2, c3, d3 = comb[:, 2].take(b), comb[:, 3].take(c), comb[:, 3].take(d)
+    triple_ranks = np.stack([a + b2 + d3, a + b2 + c3, b + comb[:, 2].take(c) + d3])
     triple_pairs = triples[:, [0, 0, 1]].T * n + triples[:, [1, 2, 2]].T
     upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
     tables = tuples, neighbours, triple_ranks, triple_pairs, upper
@@ -404,6 +419,37 @@ def _squared_distances(pts: np.ndarray) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_tables(n: int, harmonics: int):
+    """The scan's angles and their harmonic tables, read-only, per (n, H).
+
+    Returns the (n, 4) lattice numberings, the cos and sin tables of their
+    angles (``_harmonic_table``), the (14, 128) window angles and their cos
+    and sin tables: what ``Curve.eval`` would build on every solve, so a
+    curve's points are its coefficients times these tables, bit for bit.
+    Keyed on the lattice size and the harmonic count, the only inputs they
+    depend on.  Eight entries hold the five harmonic counts of the
+    reference and seeded curves at one lattice size, or the one count of a
+    ``track`` path at several; an entry takes (4n + 1,792) H 16 bytes,
+    7.7 MB at n = 24 and ``MAX_HARMONICS``.  Every later solve with the
+    same key reads the same arrays, so they are read-only.
+    """
+    values = TWO_PI * (np.arange(n)[:, None] + np.array([0.0, 0.5])) / n
+    numberings = np.hstack([values, np.roll(values, -(n // 2), axis=0)])
+    angles = WINDOW_WIDTH * np.arange(WINDOW_SAMPLES)[:, None] / WINDOW_SAMPLES + (
+        TWO_PI * np.arange(WINDOW_ARCS) / WINDOW_ARCS
+    )
+    tables = (
+        numberings,
+        *_harmonic_table(numberings, harmonics),
+        angles,
+        *_harmonic_table(angles, harmonics),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
     """Seeds at the residual's discrete minima on the n-lattice and on the windows.
 
@@ -418,15 +464,14 @@ def _scan_seeds(curve: Curve, n: int) -> np.ndarray:
     ``WINDOW_ARCS`` windows samples one short arc, so that squares too
     small for the lattice to resolve still sit at a minimum of some
     window's tuples.  The four numberings are scanned in one batch of
-    tables, and all the windows in another.
+    tables, and all the windows in another; their points come from the
+    cached ``_scan_tables``.
     """
-    values = TWO_PI * (np.arange(n)[:, None] + np.array([0.0, 0.5])) / n
-    numberings = np.hstack([values, np.roll(values, -(n // 2), axis=0)])
-    rows, cols = _lattice_minima(_squared_distances(curve.eval(numberings)), LATTICE_SEED_NORM)
-    angles = WINDOW_WIDTH * np.arange(WINDOW_SAMPLES)[:, None] / WINDOW_SAMPLES + (
-        TWO_PI * np.arange(WINDOW_ARCS) / WINDOW_ARCS
-    )
-    arc_rows, arcs = _lattice_minima(_squared_distances(curve.eval(angles)), SEED_NORM)
+    numberings, c, s, angles, arc_c, arc_s = _scan_tables(n, curve.harmonics)
+    pts = curve._points(c, s).reshape(numberings.shape + (curve.dim,))
+    rows, cols = _lattice_minima(_squared_distances(pts), LATTICE_SEED_NORM)
+    arc_pts = curve._points(arc_c, arc_s).reshape(angles.shape + (curve.dim,))
+    arc_rows, arcs = _lattice_minima(_squared_distances(arc_pts), SEED_NORM)
     lattice_seeds = numberings[_index_tables(n)[0][rows], cols[:, None]]
     window_seeds = angles[_index_tables(WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]]
     return np.vstack([lattice_seeds, window_seeds])
@@ -626,15 +671,21 @@ def _cluster_labels(canon: np.ndarray, radius: float) -> np.ndarray:
 
     Tuples are first collapsed into quantization buckets of width radius/4
     (identical roots found from many seeds land in the same bucket), each
-    owned by its first tuple.  Owners within ``radius`` of each other are
-    linked, and each owner takes the smallest owner index of its connected
-    component (``_component_labels``).
+    owned by its first tuple: a stable ``np.lexsort`` of the bucket keys
+    puts each bucket in one run, led by its first tuple.  Owners within
+    ``radius`` of each other are linked, and each owner takes the smallest
+    owner index of its connected component (``_component_labels``).
     """
     keys = (canon / (radius / 4.0)).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    owners = canon[first]
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    owners = canon[order[starts]]
     src, dst = _linked(owners, owners, radius)
-    return _component_labels(len(owners), src, dst)[inverse.reshape(-1)]
+    bucket = np.empty(len(keys), dtype=np.intp)
+    bucket[order] = np.cumsum(starts) - 1
+    return _component_labels(len(owners), src, dst)[bucket]
 
 
 def _representatives(canon: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -262,6 +263,19 @@ def test_verify_ellipse_rejects_a_ratio_outside_its_range(a, capsys):
     assert captured.err.count("\n") == 1
     for a in ("1e5", "1.0000000001"):
         assert main(["verify-ellipse", "--a", a, "--b", "1"]) == 0
+
+
+def test_verify_ellipse_closed_form_holds_near_a_circle(tmp_path):
+    # a / b = 1 + 1.5e-10 is inside the accepted range; there the unfactored
+    # 8 (a^4 - b^4) / (a^2 b^2) loses a^4 - b^4 to cancellation, 1.8e-7 relative
+    out_path = tmp_path / "ve.json"
+    argv = ["verify-ellipse", "--a", "0.700000000105", "--b", "0.7", "--json", str(out_path)]
+    assert main(argv) == 0
+    got = json.loads(out_path.read_text())["det_formula"]
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(0.700000000105), mpmath.mpf(0.7)
+        exact = float(8 * (a**4 - b**4) / (a**2 * b**2))
+    assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
 def test_equivalence_command(capsys):

@@ -22,6 +22,7 @@ from squarepeg.curve import (
     _point_set_diameter,
     _recurrence,
     _sample_table,
+    _squared_norms,
 )
 from squarepeg.errors import RegularityLost
 
@@ -358,6 +359,49 @@ def test_diameter_matches_brute_force(dim):
             diameter_reference(pts), rel=1e-12, abs=0
         )
         assert _point_set_diameter(pts) == full_gram_diameter(pts)
+
+
+def embedding_check_reference(curve, samples):
+    """The regularity and embedding check with ``np.linalg.norm`` over each row."""
+    c, s = _sample_table(samples, curve.harmonics)
+    speeds = np.linalg.norm(curve._tangents(c, s), axis=1)
+    pts = curve._points(c, s)
+    bound = np.linalg.norm(pts - np.roll(pts, -5, axis=0), axis=1).min()
+    i, j = _close_pairs(pts, bound * (1 + 1e-12), skip=4)
+    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+    return {"min_speed": float(speeds.min()), "min_self_distance": float(dist.min(initial=bound))}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_norms_and_diameter_match_row_norms_and_full_gram_bitwise(dim):
+    # the minima take the root of the smallest coordinate-order sum, the
+    # diameter forms only the kept block: the bits must not move
+    rng = np.random.default_rng(70 + dim)
+    curves = [
+        random_smooth_curve(rng, dim=dim, harmonics=harmonics)
+        for harmonics in (1, 2, 3, 5, 8)
+        for _ in range(3)
+    ]
+    if dim == 2:
+        ellipse = make_ellipse(2, 1)
+        curves += [make_ellipse(1, 1), ellipse, perturb(ellipse, 0.12, 8, seed=3)]
+        curves.append(Curve([0, 0], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]))
+    theta = TWO_PI * np.arange(CHECK_SAMPLES // 8) / (CHECK_SAMPLES // 8)
+    for curve in curves:
+        for samples in (100, 1024, CHECK_SAMPLES):
+            got = regularity_and_embedding_check(curve, samples=samples)
+            assert got == embedding_check_reference(curve, samples)
+        assert curve.diameter == full_gram_diameter(curve.eval(theta))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_squared_norms_match_the_axis_reduction(k):
+    # numpy sums fewer than 8 terms in order; from k = 8 it unrolls by 8
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(20_000, k)) * 10.0 ** rng.uniform(-5, 5, size=(20_000, 1))
+    got = _squared_norms(rows)
+    assert np.array_equal(got, (rows * rows).sum(axis=1))
+    assert np.array_equal(np.sqrt(got), np.linalg.norm(rows, axis=1))
 
 
 def query_pairs_reference(pts, radius):

@@ -4,16 +4,20 @@ Each reference is the straightforward form of the rule: each row rotated by
 ``np.roll`` to its smallest angle and tested for order, the class distance
 as a loop over the four cyclic shifts, single linkage from a double loop
 over it and a union-find, Newton damping that halves the step one fraction
-at a time, and residual minima read off a dense n^4 array.  The solver must
-agree with them exactly.
+at a time, residual minima read off a dense n^4 array, the index tables from
+``itertools`` combinations sorted into colex order, and the scan's points
+from angles built afresh on every call.  The solver must agree with them
+exactly.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from squarepeg import (
+    Curve,
     SolverOptions,
     canonical_theta,
     class_distance,
@@ -39,6 +43,7 @@ from squarepeg.solver import (
     _lattice_minima,
     _newton_batch,
     _representatives,
+    _scan_seeds,
     _squared_distances,
 )
 
@@ -391,6 +396,76 @@ def test_index_tables_triples_map_back_to_their_tuples(n):
         assert np.array_equal(triples[ranks], tuples[:, cols])
     assert np.array_equal(upper, np.ravel_multi_index(np.triu_indices(n, 1), (n, n)))
     assert not any(t.flags.writeable for t in _index_tables(n))
+
+
+def index_tables_reference(n):
+    """``_index_tables`` from ``itertools`` combinations sorted by ``np.lexsort``
+    into colex order, with the neighbour and triple ranks read from a 2-D
+    binomial table by fancy indexing."""
+
+    def combinations(k):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        c = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+        return c[np.lexsort(c.T)]  # the columns, last first: colex order
+
+    tuples, triples = combinations(4), combinations(3)
+    # binom[x, p] = C(x, p + 1), the rank term of index x in slot p
+    binom = np.array([[math.comb(x, k) for k in range(1, 5)] for x in range(n + 1)], dtype=np.intp)
+    slots = np.arange(4)
+    count = len(tuples)
+    rank = np.arange(count)[:, None] - binom[tuples, slots]
+    below = np.hstack([np.full((count, 1), -1), tuples[:, :3]])
+    above = np.hstack([tuples[:, 1:], np.full((count, 1), n)])
+    neighbours = np.hstack(
+        [
+            np.where(tuples + 1 < above, rank + binom[tuples + 1, slots], count),
+            np.where(tuples - 1 > below, rank + binom[tuples - 1, slots], count),
+        ]
+    )
+    triple_ranks = binom[tuples[:, [[0, 1, 3], [0, 1, 2], [1, 2, 3]]], slots[:3]].sum(axis=2).T
+    triple_pairs = triples[:, [0, 0, 1]].T * n + triples[:, [1, 2, 2]].T
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    return tuples, neighbours, triple_ranks, triple_pairs, upper
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 14, 24, 32])
+def test_index_tables_match_sorted_combinations(n):
+    for got, expected in zip(_index_tables(n), index_tables_reference(n), strict=True):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def scan_seeds_reference(curve, n):
+    """``_scan_seeds`` with the angles built afresh and evaluated by ``Curve.eval``."""
+    values = TWO_PI * (np.arange(n)[:, None] + np.array([0.0, 0.5])) / n
+    numberings = np.hstack([values, np.roll(values, -(n // 2), axis=0)])
+    rows, cols = _lattice_minima(_squared_distances(curve.eval(numberings)), LATTICE_SEED_NORM)
+    angles = solver.WINDOW_WIDTH * np.arange(solver.WINDOW_SAMPLES)[:, None] / (
+        solver.WINDOW_SAMPLES
+    ) + (TWO_PI * np.arange(solver.WINDOW_ARCS) / solver.WINDOW_ARCS)
+    arc_rows, arcs = _lattice_minima(_squared_distances(curve.eval(angles)), SEED_NORM)
+    lattice_seeds = numberings[_index_tables(n)[0][rows], cols[:, None]]
+    window_seeds = angles[_index_tables(solver.WINDOW_SAMPLES)[0][arc_rows], arcs[:, None]]
+    return np.vstack([lattice_seeds, window_seeds])
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_scan_seeds_match_fresh_evaluation(n, three_lobe):
+    ellipse = make_ellipse(2, 1)
+    trefoil = Curve(
+        [0, 0, 0], [[0, 0, 0], [1, -2, 0], [0, 0, 0]], [[1, 2, 0], [0, 0, 0], [0, 0, -1]]
+    )
+    wiggly8 = perturb(ellipse, 0.12, 8, seed=3)
+    # harmonic counts 1, 4, 1, 3, 8, 1 at one n: a cache keyed on n alone
+    # would hand each solve the tables of the curve before it
+    curves = [ellipse, three_lobe, make_ellipse(1, 1), trefoil, wiggly8, ellipse]
+    for curve in curves:
+        seeds = _scan_seeds(curve, n)
+        expected = scan_seeds_reference(curve, n)
+        assert seeds.shape == expected.shape and len(seeds) > 0
+        assert np.array_equal(seeds, expected)
+    for harmonics in (1, 3, 8):
+        assert not any(t.flags.writeable for t in solver._scan_tables(n, harmonics))
 
 
 def dense_norms(sq):
