@@ -9,7 +9,9 @@ to the scan can be checked on its seeds, not only on the answers they
 reach.  ``newton``: ``_newton_batch``'s thetas, norms and status on the
 n = 24 scan seeds, each exactly repeated row (after reduction mod 2pi)
 kept once, as ``find_all`` runs them: a change to the Newton loop can be
-checked on its iterates.  ``embed``: the curve's diameter and its regularity and
+checked on its iterates.  ``newton48``: the same at n = 48 on the reference
+three-lobe and trefoil, batches of 1,823 and 3,914 rows, so that the
+large line searches are checked too.  ``embed``: the curve's diameter and its regularity and
 embedding check at 1,024 and 4,096 samples.  ``track``: ``ts``, the class
 counts, the events and each step's class angles.  Inputs: the benchmark's
 reference curves, seeded find-suite curves and track paths, the reverse path
@@ -75,16 +77,17 @@ def scan_digest(curve) -> str:
     return h.hexdigest()
 
 
-def newton_digest(curve) -> str:
-    # the merge of ``find_all``, written out so that the script runs on older checkouts too
-    seeds = _scan_seeds(curve, 24)
-    reduced = np.mod(seeds, TWO_PI)
-    order = np.lexsort(reduced.T)
-    repeat = np.zeros(len(seeds), dtype=bool)
-    repeat[order[1:]] = (reduced[order[1:]] == reduced[order[:-1]]).all(axis=1)
+def newton_digest(*curves, n=24) -> str:
     h = hashlib.sha256()
-    for out in _newton_batch(curve, seeds[~repeat], SolverOptions())[:3]:
-        h.update(out.tobytes())
+    for curve in curves:
+        # the merge of ``find_all``, written out so that the script runs on older checkouts too
+        seeds = _scan_seeds(curve, n)
+        reduced = np.mod(seeds, TWO_PI)
+        order = np.lexsort(reduced.T)
+        repeat = np.zeros(len(seeds), dtype=bool)
+        repeat[order[1:]] = (reduced[order[1:]] == reduced[order[:-1]]).all(axis=1)
+        for out in _newton_batch(curve, seeds[~repeat], SolverOptions())[:3]:
+            h.update(out.tobytes())
     return h.hexdigest()
 
 
@@ -190,6 +193,9 @@ def main() -> None:
         print(f"scan {name} {scan_digest(curve)}", flush=True)
         print(f"newton {name} {newton_digest(curve)}", flush=True)
         print(f"embed {name} {embed_digest(curve)}", flush=True)
+    refs = suite.reference_curves()
+    large = newton_digest(refs["three-lobe"], refs["trefoil"], n=48)
+    print(f"newton48 three-lobe,trefoil {large}", flush=True)
     paths = {p[0]: p[1:] for seed in range(2021, 2024) for p in suite.track_paths(seed)}
     paths["three-lobe->ellipse"] = (suite.three_lobe(), ellipse, 16)
     for label, (c0, c1, steps) in paths.items():

@@ -218,9 +218,11 @@ def perturb(curve: Curve, amplitude: float, max_harmonic: int, seed: int) -> Cur
     """Add uniform[-amplitude, amplitude] noise to harmonics 1..max_harmonic.
 
     Every coordinate's cosine block is drawn first, then the sine block, so a
-    fixed seed reproduces the same curve bit for bit.  Raises
+    fixed seed reproduces the same curve bit for bit.  The seed must be a
+    non-negative integer; ``ValueError`` names it otherwise.  Raises
     ``RegularityLost`` if the result fails the regularity check.
     """
+    seed = _as_count("seed", seed, minimum=0)
     # the comparison is False for nan, so it also rejects it
     if not 0 <= amplitude < np.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")

@@ -96,7 +96,9 @@ def write_svg(path: str, curve: Curve, report: SolveReport) -> None:
     """Plot of the curve (one closed polyline) plus one polygon per class.
 
     Only defined for planar curves.  The y axis is negated on emission to
-    match SVG's downward-pointing convention.
+    match SVG's downward-pointing convention.  Coordinates carry six
+    decimals, and more for a plot narrower than 1, so a small curve keeps
+    distinct points.
     """
     if curve.dim != 2:
         raise ValueError("SVG output requires a planar curve")
@@ -107,15 +109,21 @@ def write_svg(path: str, curve: Curve, report: SolveReport) -> None:
     lo, hi = everything.min(axis=0), everything.max(axis=0)
     margin = 0.05 * (hi - lo).max()
     (x_lo, y_lo), (x_hi, y_hi) = lo - margin, hi + margin
+    # six decimals, plus one per decade that the plot's width falls below 1
+    # (the diameter floor of ``Curve`` keeps the width positive)
+    digits = max(6, 6 - int(np.floor(np.log10(max(x_hi - x_lo, y_hi - y_lo)))))
+
+    def num(x) -> str:
+        return f"{x:.{digits}f}"
 
     def fmt(points) -> str:
-        return " ".join(f"{p[0]:.6f},{-p[1]:.6f}" for p in points)
+        return " ".join(f"{num(p[0])},{num(-p[1])}" for p in points)
 
     curve_pts = np.vstack([pts, pts[:1]])  # repeat first point to close
-    width = f'stroke-width="{0.004 * (x_hi - x_lo):.6f}"'
+    width = f'stroke-width="{num(0.004 * (x_hi - x_lo))}"'
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{x_lo:.6f} {-y_hi:.6f} {x_hi - x_lo:.6f} {y_hi - y_lo:.6f}">',
+        f'viewBox="{num(x_lo)} {num(-y_hi)} {num(x_hi - x_lo)} {num(y_hi - y_lo)}">',
         f'<polyline points="{fmt(curve_pts)}" fill="none" stroke="#333333" {width}/>',
     ]
     for ci, quad in enumerate(quads):

@@ -233,6 +233,7 @@ def equivalence_harness(trials: int, seed: int) -> EquivalenceReport:
     by at least 1%.  Both maps must vanish on the first family and register
     the second.
     """
+    seed = _as_count("seed", seed, minimum=0)
     trials = _as_count("trials", trials, minimum=1)
     rng = np.random.default_rng(seed)
     max_g_sq = 0.0

@@ -117,6 +117,19 @@ def test_find_svg_and_csv(curve_file, tmp_path):
     assert len(rows) == 1 + 4  # header + one class of four vertices
 
 
+def test_find_svg_of_a_small_curve_keeps_its_points(curve_file, tmp_path):
+    # a 4e-8 wide ellipse, far above the diameter floor: six decimals would
+    # print every coordinate as zero
+    svg_path = tmp_path / "plot.svg"
+    tiny = curve_file({"type": "ellipse", "a": 2e-8, "b": 1e-8})
+    assert main(["find", "--curve", tiny, "--svg", str(svg_path)]) == 0
+    svg = svg_path.read_text()
+    view = svg.split('viewBox="')[1].split('"')[0].split()
+    assert float(view[2]) > 0 and float(view[3]) > 0
+    points = svg.split('<polyline points="')[1].split('"')[0].split()
+    assert len(set(points)) > 1
+
+
 def test_find_svg_skipped_for_space_curve(curve_file, tmp_path, capsys):
     trefoil = {"dim": 3, "coords": [{"a0": 0, "cos": [0, 0, 0], "sin": [1, 2, 0]},
                                     {"a0": 0, "cos": [1, -2, 0], "sin": [0, 0, 0]},
@@ -282,6 +295,11 @@ def test_equivalence_command(capsys):
     code = main(["equivalence", "--trials", "50", "--seed", "3"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_equivalence_rejects_a_negative_seed_by_name(capsys):
+    assert main(["equivalence", "--trials", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def test_track_command(curve_file, tmp_path):

@@ -253,6 +253,19 @@ def test_perturb_rejects_bad_amplitude_and_harmonic(ellipse21, amplitude, max_ha
     assert np.array_equal(same.cos_coeffs, perturb(ellipse21, 0.1, 2, seed=1).cos_coeffs)
 
 
+@pytest.mark.parametrize(
+    "seed, match",
+    [(-1, "seed must be >= 0"), (1.5, "seed must be an integer"), (None, "seed must be an integer")],
+)
+@pytest.mark.parametrize("amplitude", [0.0, 0.1])
+def test_perturb_rejects_bad_seed_by_name(ellipse21, amplitude, seed, match):
+    # checked before the early return of a zero amplitude, too
+    with pytest.raises(ValueError, match=match):
+        perturb(ellipse21, amplitude, 3, seed=seed)
+    same = perturb(ellipse21, amplitude, 3, seed=np.int64(7))
+    assert np.array_equal(same.sin_coeffs, perturb(ellipse21, amplitude, 3, seed=7).sin_coeffs)
+
+
 def test_perturb_seed7_stays_regular(ellipse21):
     curve = perturb(ellipse21, 0.05, 5, seed=7)
     report = regularity_and_embedding_check(curve, samples=4096)

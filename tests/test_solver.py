@@ -433,26 +433,82 @@ def test_newton_batch_work_on_ellipse(ellipse21, monkeypatch):
     assert sum(rows) <= 50_000
 
 
-def test_line_search_makes_at_most_two_trial_calls_per_iteration(ellipse21, monkeypatch):
-    # each Newton iteration takes one Jacobian kernel call, then tries the
-    # full step and, for the rows it does not improve, all ten halvings in
-    # one more residual kernel call
-    calls = []
-    for name, mark in (("_residual_kernel", "r"), ("_jacobian_kernel", "J")):
-        inner = getattr(solver, name)
+def test_line_search_splits_only_searches_of_more_than_split_rows(ellipse21, monkeypatch):
+    # each Newton iteration takes one Jacobian kernel call, then one residual
+    # kernel call for the full step.  The rows it does not improve try all ten
+    # halvings in one more call when at most _SPLIT_ROWS of them miss; when
+    # more do, k = 1..3 in one call, then k = 4..10 in a last call for only
+    # the rows that none of k = 1..3 improved
+    residual_kernel, jacobian_kernel = solver._residual_kernel, solver._jacobian_kernel
+    runs = []  # per iteration: the norms at the Jacobian's rows, then each residual call's
 
-        def counting(*args, inner=inner, mark=mark):
-            calls.append(mark)
-            return inner(*args)
+    def jacobian(pts, tan):
+        runs.append([residual_kernel(pts, ellipse21.diameter)[1]])
+        return jacobian_kernel(pts, tan)
 
-        monkeypatch.setattr(solver, name, counting)
-    # the full seed grid, so that many iterations run
+    def residual(pts, diameter):
+        out = residual_kernel(pts, diameter)
+        if runs:  # not the initial residual of the seeds
+            runs[-1].append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_jacobian_kernel", jacobian)
+    monkeypatch.setattr(solver, "_residual_kernel", residual)
+    # the full seed grid, so that both small and large line searches run
     thetas, _, status, _ = _newton_batch(ellipse21, seed_grid(24), SolverOptions())
-    runs = "".join(calls).split("J")
     canon = _canonical_batch(thetas[status == _STATUS_CONVERGED])
     assert len(np.unique(_cluster_labels(canon, 1e-6))) == 1
     assert len(runs) > 10
-    assert max(len(r) for r in runs) == 2
+    kinds = set()
+    for norms, full, *halvings in runs:
+        assert full.shape == norms.shape
+        missed = norms[~(full < norms)]
+        if not missed.size:
+            assert halvings == []
+        elif missed.size <= solver._SPLIT_ROWS:
+            (block,) = halvings
+            assert block.size == 10 * missed.size
+            kinds.add("one call")
+        else:
+            first, *rest = halvings
+            assert first.size == 3 * missed.size
+            left = missed[~(first.reshape(3, -1) < missed).any(axis=0)]
+            assert len(rest) == (left.size > 0)
+            if left.size:
+                assert rest[0].size == 7 * left.size
+                kinds.add("two calls")
+    assert kinds == {"one call", "two calls"}
+
+
+@pytest.mark.parametrize("name", ["wiggly8", "trefoil", "circle"])
+def test_newton_batch_is_the_same_split_or_not(name, monkeypatch):
+    curve = {"wiggly8": wiggly8(), "trefoil": trefoil(), "circle": make_ellipse(1, 1)}[name]
+    seeds = seed_grid(24)
+    default = _newton_batch(curve, seeds, SolverOptions())
+    for split_rows in (0, 10**9):  # every search split, and none
+        monkeypatch.setattr(solver, "_SPLIT_ROWS", split_rows)
+        for a, b in zip(_newton_batch(curve, seeds, SolverOptions()), default):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_split_line_search_evaluates_fewer_points(ellipse21, monkeypatch):
+    # most rows that miss the full step take k <= 3: the split spares the
+    # other seven fractions of each (314,292 against 490,636 points)
+    points = []
+    inner = Curve.eval
+
+    def counting(self, theta):
+        points.append(np.size(theta))
+        return inner(self, theta)
+
+    monkeypatch.setattr(Curve, "eval", counting)
+    _newton_batch(ellipse21, seed_grid(24), SolverOptions())
+    split = sum(points)
+    points.clear()
+    monkeypatch.setattr(solver, "_SPLIT_ROWS", 10**9)
+    _newton_batch(ellipse21, seed_grid(24), SolverOptions())
+    assert split <= 0.75 * sum(points)
 
 
 def golden_curves() -> dict:

@@ -210,3 +210,13 @@ def test_equivalence_harness_rejects_non_integral_trials(bad):
     with pytest.raises(ValueError, match="trials must be an integer"):
         equivalence_harness(bad, seed=1)
     assert equivalence_harness(np.int64(2), seed=1) == equivalence_harness(2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "seed, match",
+    [(-1, "seed must be >= 0"), (1.5, "seed must be an integer"), (None, "seed must be an integer")],
+)
+def test_equivalence_harness_rejects_bad_seed_by_name(seed, match):
+    with pytest.raises(ValueError, match=match):
+        equivalence_harness(2, seed=seed)
+    assert equivalence_harness(2, seed=np.int64(7)) == equivalence_harness(2, seed=7)
