@@ -6,12 +6,13 @@
 norm and minimum separation, then parity and flags.  ``scan``: the seed
 bytes of the lattice and window scan at n = 24 and n = 12, so that a change
 to the scan can be checked on its seeds, not only on the answers they
-reach.  ``newton``: ``_newton_batch``'s thetas, norms and status on the
-n = 24 scan seeds, each exactly repeated row (after reduction mod 2pi)
-kept once, as ``find_all`` runs them: a change to the Newton loop can be
-checked on its iterates.  ``newton48``: the same at n = 48 on the reference
-three-lobe and trefoil, batches of 1,823 and 3,914 rows, so that the
-large line searches are checked too.  ``embed``: the curve's diameter and its regularity and
+reach.  ``newton``: all four outputs of ``_newton_batch`` (thetas, norms,
+status and singular-fallback flags) on the n = 24 scan seeds, each exactly
+repeated row (after reduction mod 2pi) kept once, as ``find_all`` runs
+them: a change to the Newton loop can be checked on its iterates.
+``newton48``: the same at n = 48 on the reference three-lobe and trefoil,
+batches of 1,823 and 3,914 rows, so that the large line searches are
+checked too.  ``embed``: the curve's diameter and its regularity and
 embedding check at 1,024 and 4,096 samples.  ``track``: ``ts``, the class
 counts, the events and each step's class angles.  Inputs: the benchmark's
 reference curves, seeded find-suite curves and track paths, the reverse path
@@ -86,7 +87,7 @@ def newton_digest(*curves, n=24) -> str:
         order = np.lexsort(reduced.T)
         repeat = np.zeros(len(seeds), dtype=bool)
         repeat[order[1:]] = (reduced[order[1:]] == reduced[order[:-1]]).all(axis=1)
-        for out in _newton_batch(curve, seeds[~repeat], SolverOptions())[:3]:
+        for out in _newton_batch(curve, seeds[~repeat], SolverOptions()):
             h.update(out.tobytes())
     return h.hexdigest()
 

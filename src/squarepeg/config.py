@@ -16,14 +16,20 @@ from .errors import CoincidentPoints, IndeterminateRatio
 
 TWO_PI = 2.0 * np.pi
 
+#: column j holds the angle after angle j, cyclically
+_NEXT = np.array([1, 2, 3, 0])
+
 #: target value of the squared-ratio residual g on square-like quadrilaterals
 G_TARGET = np.array([1.0, 1.0, 1.0, 0.0])
 
 
 def _as_count(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int, numpy integers included; ``ValueError`` naming
-    ``name`` for a float or any other non-integral value, or for one below
-    ``minimum``."""
+    ``name`` for a bool, a float or any other non-integral value, or for one
+    below ``minimum``."""
+    # a bool is an int to operator.index, so True would pass as 1
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         count = operator.index(value)
     except TypeError:
@@ -147,11 +153,26 @@ def _ordered_batch(thetas: np.ndarray) -> np.ndarray:
     angles are positive: the fourth is then negative, and the rotation
     starting after it is strictly increasing.  A nan difference is not
     positive, so a nan row, or one with an infinite angle, is not ordered.
+    Any real angles are reduced here, under this function's own error
+    state; ``_ordered_rows`` takes angles already reduced and says why an
+    angle at 2pi instead of 0 changes no verdict.
     """
     with np.errstate(invalid="ignore"):
         th = np.mod(np.asarray(thetas, dtype=float).reshape(-1, 4), TWO_PI)
+    return _ordered_rows(th)
+
+
+def _ordered_rows(th: np.ndarray) -> np.ndarray:
+    """``_ordered_batch`` of (m, 4) angles already reduced into [0, 2pi].
+
+    An angle may read 2pi where ``np.mod`` would give 0 (it rounds an angle
+    in (-1e-16, 0) up to 2pi).  On a row whose four angles are distinct mod
+    2pi that changes no verdict: the angle is the row's smallest at 0 and
+    its largest at 2pi, so the difference into it and the one out of it
+    swap signs, and the count of positive differences stays the same.
+    """
     # a uint8 sum counts faster than np.count_nonzero(..., axis=1)
-    return (th[:, [1, 2, 3, 0]] - th > 0.0).sum(axis=1, dtype=np.uint8) == 3
+    return (th.take(_NEXT, axis=1) - th > 0.0).sum(axis=1, dtype=np.uint8) == 3
 
 
 def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

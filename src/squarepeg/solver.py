@@ -24,6 +24,7 @@ from .config import (
     _as_count,
     _component_labels,
     _ordered_batch,
+    _ordered_rows,
     ordered_component_check,
 )
 from .curve import Curve, _harmonic_table
@@ -208,7 +209,8 @@ class SolveReport:
 def _pair_squares(pts: np.ndarray):
     """(m, 4, k) points -> (k, 6, m) pair differences and (6, m) squared lengths."""
     coords = np.ascontiguousarray(pts.T)
-    diff = coords[:, _PAIR_I] - coords[:, _PAIR_J]
+    # np.take: a fancy index gathers these short axes slower
+    diff = np.take(coords, _PAIR_I, axis=1) - np.take(coords, _PAIR_J, axis=1)
     return diff, (diff * diff).sum(0)
 
 
@@ -220,14 +222,15 @@ def _residual_kernel(pts: np.ndarray, diameter: float):
     batch-last, (k, 6, m), so every operation streams over whole rows of
     length m instead of the short k, 4 and 6 axes.  Rows whose
     configuration is numerically degenerate get +inf norm instead of
-    raising, so the damped line search can simply reject them.
+    raising, so the damped line search can simply reject them.  Their 0/0
+    and x/0 warn unless the caller ignores them: the kernel runs under its
+    caller's error state, which ``_newton_batch`` enters once per batch.
     """
     _, sq = _pair_squares(pts)
     min_sep = np.sqrt(sq.min(axis=0))
     nd = _NUM_DEN @ sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = nd[:4] / nd[4:] - G_TARGET[:, None]
-        norms = np.abs(res).max(axis=0)
+    res = nd[:4] / nd[4:] - G_TARGET[:, None]
+    norms = np.abs(res).max(axis=0)
     ok = (min_sep > MACHINE_SEP * diameter) & np.isfinite(norms)
     return res.T, np.where(ok, norms, np.inf), min_sep
 
@@ -235,22 +238,23 @@ def _residual_kernel(pts: np.ndarray, diameter: float):
 def _jacobian_kernel(pts: np.ndarray, tan: np.ndarray) -> np.ndarray:
     """Batch-last (4, 4, m) residual Jacobians at (m, 4, k) points with tangents
     ``tan``: row r is (dN_r - g_r dD_r) / D_r, from the pair differences.
-    Jacobians alone: a Newton iteration already holds the residual."""
+    Jacobians alone: a Newton iteration already holds the residual.  Like
+    ``_residual_kernel``, it runs under its caller's error state."""
     diff, sq = _pair_squares(pts)
     nd = _NUM_DEN @ sq
-    tangents = np.ascontiguousarray(tan.T)[:, _PAIR_IJ]
+    tangents = np.take(np.ascontiguousarray(tan.T), _PAIR_IJ, axis=1)
     dots = (np.concatenate([diff, diff], axis=1) * tangents).sum(0)
     dnd = (_DOTS_TO_DNUM_DEN.T @ dots).reshape(8, 4, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = nd[:4] / nd[4:]
-        return (dnd[:4] - g[:, None] * dnd[4:]) / nd[4:, None]
+    g = nd[:4] / nd[4:]
+    return (dnd[:4] - g[:, None] * dnd[4:]) / nd[4:, None]
 
 
 def _checked(curve: Curve, thetas):
     """(1, 4) angles, points and residual of one tuple; raises on coincident points."""
     th = np.asarray(thetas, dtype=float).reshape(1, 4)
     pts = curve.eval(th)
-    res, _, min_sep = _residual_kernel(pts, curve.diameter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res, _, min_sep = _residual_kernel(pts, curve.diameter)
     if min_sep[0] <= MACHINE_SEP * curve.diameter:
         raise DegenerateConfiguration(
             f"curve points separated by {min_sep[0]:.3e}, below guard"
@@ -266,7 +270,8 @@ def residual(curve: Curve, thetas) -> np.ndarray:
 def jacobian(curve: Curve, thetas) -> np.ndarray:
     """Analytic 4x4 derivative of ``residual`` in the four angles."""
     th, pts, _ = _checked(curve, thetas)
-    return _jacobian_kernel(pts, curve.deriv(th))[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _jacobian_kernel(pts, curve.deriv(th))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +506,14 @@ def class_distance(t1, t2) -> float:
     return float(_class_distances(a, b)[0, 0])
 
 
+def _state_rows(curve: Curve, thetas: np.ndarray) -> np.ndarray:
+    """(m, 9 + 4k) state rows at (m, 4) angles: the angles, the (4, k)
+    points row-major, the residual and its sup-norm (``_newton_batch``)."""
+    pts = curve.eval(thetas)
+    res, norms, _ = _residual_kernel(pts, curve.diameter)
+    return np.concatenate([thetas, pts.reshape(len(thetas), -1), res, norms[:, None]], axis=1)
+
+
 def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     """Damped Newton on all seeds at once.
 
@@ -524,53 +537,60 @@ def _newton_batch(curve: Curve, seeds: np.ndarray, opts: SolverOptions):
     has no Jacobian to step with and never starts.
     A seed is flagged once any of its Jacobians fails the determinant
     regularity test.
-    """
-    with np.errstate(invalid="ignore"):
-        thetas = np.mod(np.array(seeds, dtype=float), TWO_PI)
-    pts = curve.eval(thetas)
-    res, norms, _ = _residual_kernel(pts, curve.diameter)
-    # seeds still iterating: finite and not converged (norms is never nan)
-    live = np.isfinite(norms) & (norms >= opts.tol_residual)
-    used_singular = np.zeros(len(thetas), dtype=bool)
-    state = (thetas, pts, res, norms)
-    for _ in range(opts.max_iters):
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            break
-        th = thetas[idx]
-        jac = _jacobian_kernel(pts[idx], curve.deriv(th))
-        step, regular = _newton_step(jac, res[idx].T)
-        used_singular[idx[~regular]] = True
-        trial = np.mod(th + step, TWO_PI)
-        trial_pts = curve.eval(trial)
-        trial_res, trial_norm, _ = _residual_kernel(trial_pts, curve.diameter)
-        hit = trial_norm < norms[idx]
-        miss = np.flatnonzero(~hit)
-        moved = idx[hit]
-        for mine, theirs in zip(state, (trial, trial_pts, trial_res, trial_norm)):
-            mine[moved] = theirs[hit]
-        live[idx] = False
-        blocks = (_HALVINGS,) if miss.size <= _SPLIT_ROWS else (_HALVINGS[:3], _HALVINGS[3:])
-        for fractions in blocks:
-            if not miss.size:
-                break
-            rows = idx[miss]
-            halved = np.mod(th[miss] + fractions * step[miss], TWO_PI).reshape(-1, 4)
-            halved_pts = curve.eval(halved)
-            halved_res, halved_norm, _ = _residual_kernel(halved_pts, curve.diameter)
-            better = halved_norm.reshape(len(fractions), -1) < norms[rows]
-            found = better.any(axis=0)
-            pick = better.argmax(axis=0)[found] * len(rows) + np.flatnonzero(found)
-            won = rows[found]
-            for mine, theirs in zip(state, (halved, halved_pts, halved_res, halved_norm)):
-                mine[won] = theirs[pick]
-            moved = np.concatenate([moved, won])
-            miss = miss[~found]
-        # roots off the ordered component are discarded, so a seed that leaves it stops
-        live[moved] = (norms[moved] >= opts.tol_residual) & _ordered_batch(thetas[moved])
 
+    Each seed's state is one row of a float array private to the batch
+    (``_state_rows``), so an iteration gathers its live rows in one call
+    and each block of steps stores the rows it accepts in one assignment.
+    The layout changes no bit: rows are copied value for value, and the
+    kernels and ``Curve.deriv`` copy what they read into contiguous arrays
+    before any arithmetic.  The batch runs under one error state that
+    ignores the kernels' 0/0 and x/0 on degenerate rows.
+    """
+    k = curve.dim
+    # the state columns of the points and of the residual
+    pts_cols, res_cols = slice(4, 4 + 4 * k), slice(4 + 4 * k, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = _state_rows(curve, np.mod(np.array(seeds, dtype=float), TWO_PI))
+        # seeds still iterating: finite and not converged (norms are never nan)
+        live = np.isfinite(state[:, -1]) & (state[:, -1] >= opts.tol_residual)
+        used_singular = np.zeros(len(state), dtype=bool)
+        for _ in range(opts.max_iters):
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            rows = state.take(idx, axis=0)
+            th, norms = rows[:, :4], rows[:, -1]
+            jac = _jacobian_kernel(rows[:, pts_cols].reshape(-1, 4, k), curve.deriv(th))
+            step, regular = _newton_step(jac, rows[:, res_cols].T)
+            used_singular[idx[~regular]] = True
+            trial = _state_rows(curve, np.mod(th + step, TWO_PI))
+            hit = trial[:, -1] < norms
+            miss = np.flatnonzero(~hit)
+            moved = idx[hit]
+            state[moved] = trial[hit]
+            live[idx] = False
+            blocks = (_HALVINGS,) if miss.size <= _SPLIT_ROWS else (_HALVINGS[:3], _HALVINGS[3:])
+            for fractions in blocks:
+                if not miss.size:
+                    break
+                halved = np.mod(th[miss] + fractions * step[miss], TWO_PI).reshape(-1, 4)
+                halved = _state_rows(curve, halved)
+                better = halved[:, -1].reshape(len(fractions), -1) < norms[miss]
+                found = better.any(axis=0)
+                pick = better.argmax(axis=0)[found] * len(miss) + np.flatnonzero(found)
+                won = idx[miss[found]]
+                state[won] = halved[pick]
+                moved = np.concatenate([moved, won])
+                miss = miss[~found]
+            # roots off the ordered component are discarded, so a seed that leaves
+            # it stops.  A moved row's angles are reduced, and its finite norm
+            # keeps them distinct mod 2pi, as ``_ordered_rows`` needs
+            after = state.take(moved, axis=0)
+            live[moved] = (after[:, -1] >= opts.tol_residual) & _ordered_rows(after[:, :4])
+
+    thetas, norms = state[:, :4].copy(), state[:, -1].copy()
     converged = norms < opts.tol_residual
-    min_sep = np.sqrt(_pair_squares(pts)[1].min(axis=0))
+    min_sep = np.sqrt(_pair_squares(state[:, pts_cols].reshape(-1, 4, k))[1].min(axis=0))
     status = np.where(converged, _STATUS_CONVERGED, _STATUS_DIVERGED).astype(np.int8)
     status[converged & (min_sep / curve.diameter <= opts.sep_guard)] = _STATUS_NEAR_BOUNDARY
     status[~_ordered_batch(thetas)] = _STATUS_LEFT_ORDERED
@@ -615,8 +635,10 @@ def _certify(jac: np.ndarray, opts: SolverOptions):
 def _make_solutions(curve: Curve, th: np.ndarray, opts: SolverOptions) -> list:
     """Certified ``Solution``s of (m, 4) canonical roots, in one batch."""
     pts = curve.eval(th)
-    _, norms, min_sep = _residual_kernel(pts, curve.diameter)
-    det, transverse = _certify(_jacobian_kernel(pts, curve.deriv(th)), opts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, norms, min_sep = _residual_kernel(pts, curve.diameter)
+        jac = _jacobian_kernel(pts, curve.deriv(th))
+    det, transverse = _certify(jac, opts)
     return [
         Solution(
             theta=th[i],

@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from squarepeg import (
     Config4,
+    SolverOptions,
     Stratum,
     Variation4,
     block_cycle_orientation_sign,
     cyclic_relabel,
     direction,
+    equivalence_harness,
     g_map,
+    make_ellipse,
     ordered_component_check,
+    perturb,
     ratio,
     s_ratio,
     strata_proximity,
+    track,
 )
 from squarepeg.errors import CoincidentPoints, IndeterminateRatio
 
@@ -106,6 +111,28 @@ def test_labels_outside_1_to_4_raise(accessor, label):
 def test_config4_names_a_wrong_shape(points):
     with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(points)}")):
         Config4(points)
+
+
+#: by the name of its count argument, an entry point reduced to what it made of the count
+COUNT_ENTRY_POINTS = {
+    "steps": lambda n: len(track(make_ellipse(2, 1), make_ellipse(2, 1), steps=n).ts) - 1,
+    "max_iters": lambda n: SolverOptions(max_iters=n).max_iters,
+    "seed": lambda n: perturb(make_ellipse(2, 1), 0.05, 3, seed=n).cos_coeffs.tobytes(),
+    "trials": lambda n: equivalence_harness(trials=n, seed=0).trials,
+    "label": lambda n: Config4(UNIT_SQUARE).point(n).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_ENTRY_POINTS)
+def test_counts_reject_booleans_and_take_numpy_integers(name):
+    # a bool is an int to operator.index: True would pass as 1 and False as 0
+    count = COUNT_ENTRY_POINTS[name]
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {flag}$"):
+            count(flag)
+    assert count(np.int64(3)) == count(3)
+    if name != "seed":
+        assert count(3) == ([1, 1] if name == "label" else 3)
 
 
 def test_config4_immutable():

@@ -92,6 +92,23 @@ def test_residual_rejects_collisions(ellipse21):
         residual(ellipse21, [1.0, 1.0 + 1e-13, 2.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_no_runtime_warning_escapes_the_kernels_callers(unit_circle):
+    # the residual and Jacobian kernels run under their caller's error state:
+    # each public caller ignores their 0/0 and x/0, which a degenerate row meets
+    for coincident in ([1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, TWO_PI]):
+        for fn in (residual, jacobian):
+            with pytest.raises(DegenerateConfiguration):
+                fn(unit_circle, coincident)
+    for curve in (unit_circle, wiggly8()):
+        assert find_all(curve).classes
+    for seed in ([0.1, 1.6, 3.2, 4.75], [0, 1, 2, 3]):
+        try:
+            newton_refine(unit_circle, seed)
+        except (Divergence, LeftOrderedComponent, NearBoundary):
+            pass
+
+
 def guarded_samples(rng, n_samples, dim=2, harmonics=3):
     """Random (curve, theta) pairs with ordered angles and separated vertices.
 

@@ -21,13 +21,16 @@ from squarepeg import (
     SolverOptions,
     canonical_theta,
     class_distance,
+    find_all,
+    interpolate,
     make_ellipse,
     ordered_component_check,
     perturb,
     seed_grid,
 )
 from squarepeg import solver
-from squarepeg.config import _ordered_batch
+from squarepeg.config import _ordered_batch, _ordered_rows
+from squarepeg.continuation import FRESH_GRID
 from squarepeg.slq import G_TARGET
 from squarepeg.solver import (
     _STATUS_CONVERGED,
@@ -126,6 +129,23 @@ def test_ordered_batch_matches_canonical_rotation_rule():
     assert 0.05 < got.mean() < 0.95
     assert public == expected[-len(special) :].tolist()
     assert public == [True, True, False, False, False, False, False, True, True, False, False]
+
+
+def test_ordered_rows_read_2pi_as_0_on_rows_of_distinct_angles():
+    # the Newton loop tests reduced angles without reducing them again, so an
+    # angle rounded up to 2pi is not taken back to 0; with the other three
+    # angles distinct from it mod 2pi, the verdict is the same either way
+    rng = np.random.default_rng(55)
+    thetas = rng.uniform(1e-3, TWO_PI - 1e-3, size=(4000, 4))
+    slot = rng.integers(0, 4, size=len(thetas))
+    rows = np.arange(len(thetas))
+    at_zero, at_two_pi = thetas.copy(), thetas.copy()
+    at_zero[rows, slot], at_two_pi[rows, slot] = 0.0, TWO_PI
+    expected = ordered_reference(at_zero)
+    assert np.array_equal(_ordered_rows(at_two_pi), expected)
+    assert np.array_equal(_ordered_rows(at_zero), expected)
+    assert np.array_equal(_ordered_batch(at_two_pi), expected)
+    assert 0.05 < expected.mean() < 0.95
 
 
 def test_ordered_batch_uint8_count_on_rows_with_nonfinite_angles():
@@ -290,7 +310,9 @@ def test_split_kernels_match_the_single_kernel(dim):
         pts[::5, 3] = pts[::5, 0]
         pts[-1, 1, 0] = [np.nan, np.inf][m % 2]
         diameter = float(np.abs(pts[np.isfinite(pts)]).max())
-        with np.errstate(invalid="ignore"):  # inf * 0 in the matrix products
+        # the kernels run under their caller's error state: x/0 on the
+        # coincident rows, inf * 0 in the matrix products
+        with np.errstate(divide="ignore", invalid="ignore"):
             res, norms, min_sep, jac = kernel_reference(pts, diameter, tan)
             got = solver._residual_kernel(pts, diameter)
             got_jac = solver._jacobian_kernel(pts, tan)
@@ -363,6 +385,55 @@ def test_newton_batch_matches_sequential_halving(name, three_lobe):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert np.count_nonzero(got[2] == _STATUS_CONVERGED) > 0
+
+
+def track_batches(three_lobe):
+    """(curve, seeds) of the interior steps t = 0.25, 0.5 and 0.75 of ``track``
+    from the 2:1 ellipse to three-lobe: the ``FRESH_GRID`` scan seeds and the
+    previous step's classes, batches of 70-85 rows."""
+    ellipse = make_ellipse(2, 1)
+    opts = SolverOptions(grid=FRESH_GRID)
+    prev = np.array([s.theta for s in find_all(ellipse).classes])
+    for t in (0.25, 0.5, 0.75):
+        curve = interpolate(ellipse, three_lobe, t)
+        seeds = np.vstack([_scan_seeds(curve, FRESH_GRID), prev])
+        yield curve, seeds
+        prev = np.array([s.theta for s in find_all(curve, opts, extra_seeds=prev).classes])
+
+
+def test_newton_batch_matches_sequential_halving_on_track_batches(three_lobe, monkeypatch):
+    # batches of track's size keep their line searches in one call (at most
+    # _SPLIT_ROWS rows miss the full step), unlike the seed_grid batches above
+    residual_kernel, jacobian_kernel = solver._residual_kernel, solver._jacobian_kernel
+    runs = []  # per iteration: the norms at the Jacobian's rows, then the full step's
+
+    def jacobian(pts, tan):
+        runs.append([residual_kernel(pts, curve.diameter)[1]])
+        return jacobian_kernel(pts, tan)
+
+    def residual(pts, diameter):
+        out = residual_kernel(pts, diameter)
+        if runs and len(runs[-1]) == 1:
+            runs[-1].append(out[1])
+        return out
+
+    opts = SolverOptions()
+    left = 0
+    for curve, seeds in track_batches(three_lobe):
+        expected = newton_batch_reference(curve, seeds, opts)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_jacobian_kernel", jacobian)
+            m.setattr(solver, "_residual_kernel", residual)
+            got = _newton_batch(curve, seeds, opts)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.count_nonzero(got[2] == _STATUS_CONVERGED) > 0
+        left += np.count_nonzero(got[2] == _STATUS_LEFT_ORDERED)
+    assert left > 0
+    missed = [np.count_nonzero(~(full < norms)) for norms, full in runs]
+    assert any(0 < miss <= solver._SPLIT_ROWS for miss in missed)
+    assert max(missed) <= solver._SPLIT_ROWS
 
 
 @pytest.mark.parametrize("dim", [2, 3])
